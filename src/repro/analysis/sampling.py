@@ -85,9 +85,10 @@ def sampled_stable_mask(
 ):
     """``bool[n_graphs, n_alphas]`` pairwise-stability mask of sampled graphs.
 
-    Vectorised through :func:`repro.engine.columnar.bcg_stable_mask` when
-    NumPy is importable (bit-identical to the per-graph Definition 3
-    check); a per-profile Python loop otherwise.
+    Vectorised through the exact per-graph stability intervals of
+    :func:`repro.engine.columnar.bcg_stability_intervals` when NumPy is
+    importable (bit-identical to the per-graph Definition 3 check); a
+    per-profile Python loop otherwise.
     """
     if not numpy_available():
         profiles = sampled_bcg_profiles(graphs, oracle=oracle)
@@ -95,10 +96,10 @@ def sampled_stable_mask(
             [profile.is_stable_at(alpha) for alpha in alphas]
             for profile in profiles
         ]
-    from ..engine.columnar import bcg_stable_mask
+    from ..engine.columnar import bcg_interval_mask, bcg_stability_intervals
 
-    rem_min, add_lo, add_hi, add_indptr = sampled_bcg_columns(graphs, oracle=oracle)
-    return bcg_stable_mask(rem_min, add_lo, add_hi, add_indptr, alphas)
+    columns = sampled_bcg_columns(graphs, oracle=oracle)
+    return bcg_interval_mask(*bcg_stability_intervals(*columns), alphas)
 
 
 def sampled_stable_counts(

@@ -59,7 +59,8 @@ from ..engine import (
     ucg_alpha_sets,
 )
 from ..engine.columnar import (
-    bcg_stable_mask,
+    bcg_interval_mask,
+    bcg_stability_intervals,
     canonical_sort_indices,
     certificate_to_graph,
     certificate_words,
@@ -153,7 +154,7 @@ class CensusStore:
         self.ucg_hi = ucg_hi
         self.ucg_indptr = ucg_indptr
         self._rem_min = None  # lazy per-class α_max column
-        self._m64 = None  # lazy float64 view of num_edges
+        self._intervals = None  # lazy per-class exact (A, R] stability intervals
         self._artifact_checksum = None  # checksum stamped on the loaded artifact
 
     # ------------------------------------------------------------------ #
@@ -354,23 +355,35 @@ class CensusStore:
             self._rem_min = segment_min(self.rem_values, self.rem_indptr)
         return self._rem_min
 
+    def _interval_columns(self):
+        """The per-class exact BCG stability intervals ``(A, R)``, cached.
+
+        Derived once per store by
+        :func:`~repro.engine.columnar.bcg_stability_intervals`; nothing is
+        persisted.  The cache is written as one tuple, so a concurrent
+        reader sees either nothing or the finished pair.
+        """
+        intervals = self._intervals
+        if intervals is None:
+            intervals = bcg_stability_intervals(
+                self._rem_min_column(), self.add_lo, self.add_hi, self.add_indptr
+            )
+            self._intervals = intervals
+        return intervals
+
     def stable_mask(self, alphas: Sequence[float], game: str = "bcg"):
         """``bool[n_classes, n_alphas]`` equilibrium membership on a grid.
 
         ``game="bcg"`` gives exact Definition 3 pairwise stability,
         ``game="ucg"`` Nash-supportability — bit-identical per element to
         :meth:`GraphRecord.is_bcg_stable_at` /
-        :meth:`GraphRecord.is_ucg_nash_at`.
+        :meth:`GraphRecord.is_ucg_nash_at`.  BCG masks are read off the
+        cached per-class stability intervals, so a grid point costs one
+        comparison per class instead of a pass over every non-edge.
         """
         game = _check_game(game)
         if game == "bcg":
-            return bcg_stable_mask(
-                self._rem_min_column(),
-                self.add_lo,
-                self.add_hi,
-                self.add_indptr,
-                alphas,
-            )
+            return bcg_interval_mask(*self._interval_columns(), alphas)
         if not self.include_ucg:
             raise ValueError("census was built without the UCG analysis")
         return ucg_nash_mask(self.ucg_lo, self.ucg_hi, self.ucg_indptr, alphas)
@@ -383,8 +396,8 @@ class CensusStore:
         """Per-class Lemma 2 ``(α_min, α_max)`` arrays (BCG)."""
         return stability_windows(self._rem_min_column(), self.add_lo, self.add_indptr)
 
-    def _poa_column(self, alpha: float, game: str):
-        """Per-class ``ρ(G, α)``, replicating the scalar float expressions.
+    def _poa_values(self, alpha: float, game: str, rows):
+        """``ρ(G, α)`` of the classes at ``rows``, replicating the scalar floats.
 
         ``social_cost`` is ``per_edge·α·m + Σd`` evaluated elementwise with
         the exact operation order of :func:`repro.core.costs.social_cost_bcg`
@@ -392,11 +405,10 @@ class CensusStore:
         bit-identical to :func:`repro.core.anarchy.price_of_anarchy`).
         """
         np = _np
-        if self._m64 is None:
-            self._m64 = self.num_edges.astype(np.float64)
         per_edge = 2.0 if game == "bcg" else 1.0
         optimum = efficient_social_cost(self.n, alpha, game)
-        cost = (per_edge * alpha) * self._m64 + self.dist_total
+        edges = self.num_edges[rows].astype(np.float64)
+        cost = (per_edge * alpha) * edges + self.dist_total[rows]
         if optimum == 0:
             return np.ones_like(cost)
         return cost / optimum
@@ -409,7 +421,8 @@ class CensusStore:
         the corresponding :class:`EquilibriumCensus` aggregate — including
         the sequential left-to-right float summation of the record path,
         so averages match to the last bit, and ``nan`` for empty
-        equilibrium sets.
+        equilibrium sets.  Costs are evaluated for the equilibrium classes
+        of each grid point only.
         """
         np = _np
         game = _check_game(game)
@@ -419,21 +432,21 @@ class CensusStore:
         worst_poa: List[float] = []
         average_links: List[float] = []
         for column, alpha in enumerate(alphas):
-            selected = mask[:, column]
-            count = int(selected.sum())
+            rows = np.flatnonzero(mask[:, column])
+            count = int(rows.shape[0])
             counts.append(count)
             if count == 0:
                 average_poa.append(float("nan"))
                 worst_poa.append(float("nan"))
                 average_links.append(float("nan"))
                 continue
-            poa = self._poa_column(float(alpha), game)[selected]
+            poa = self._poa_values(float(alpha), game, rows)
             total = 0
             for value in poa.tolist():  # class order == record order
                 total = total + value
             average_poa.append(total / count)
             worst_poa.append(float(poa.max()))
-            links = int(self.num_edges[selected].sum(dtype=np.int64))
+            links = int(self.num_edges[rows].sum(dtype=np.int64))
             average_links.append(links / count)
         return {
             "counts": counts,
@@ -805,7 +818,7 @@ def bcg_alpha_columns(profiles: Sequence[PairwiseStabilityProfile]):
     """BCG α-decision columns for an ad-hoc batch of stability profiles.
 
     Returns ``(rem_min, add_lo, add_hi, add_indptr)`` ready for
-    :func:`repro.engine.columnar.bcg_stable_mask` /
+    :func:`repro.engine.columnar.bcg_stability_intervals` /
     :func:`~repro.engine.columnar.stability_windows`.  Unlike the store,
     the graphs may have heterogeneous vertex counts (the masks never look
     at ``n``) — this is how the Figure 1 experiment pushes its six named

@@ -999,8 +999,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         description=(
             "Serve census / weighted / delta artifacts over JSON/HTTP "
             "(stdlib asyncio, no extra dependencies): /healthz, /metrics "
-            "(Prometheus), /artifacts and /v1/query/* endpoints, with "
-            "concurrent grid queries coalesced into shared kernel calls."
+            "(Prometheus), /artifacts and /v1/query/* endpoints; BCG grid "
+            "queries are answered from cached per-class stability intervals."
         ),
     )
     parser.add_argument(
@@ -1018,14 +1018,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads", type=int, default=4, metavar="N",
         help="compute threads answering queries (default: 4)",
-    )
-    parser.add_argument(
-        "--batch-window", type=float, default=0.005, metavar="SECONDS",
-        help=(
-            "how long the first of a burst of grid requests waits for "
-            "companions before computing; 0 disables coalescing "
-            "(default: 0.005)"
-        ),
     )
     parser.add_argument(
         "--no-mmap", action="store_true",
@@ -1050,7 +1042,6 @@ def serve_main(argv: List[str]) -> int:
             host=args.host,
             port=args.port,
             threads=args.threads,
-            batch_window=args.batch_window,
             mmap=not args.no_mmap,
             drain_grace=args.drain_grace,
         )

@@ -173,6 +173,10 @@ UCG_TOL = 1e-9
 def bcg_stable_mask(rem_min, add_lo, add_hi, add_indptr, alphas):
     """Pairwise stability (exact Definition 3) of every class at every ``α``.
 
+    Scans every non-edge once per grid point.  Queries go through
+    :func:`bcg_stability_intervals` and :func:`bcg_interval_mask` instead;
+    this kernel is the reference they are tested against.
+
     Parameters
     ----------
     rem_min:
@@ -204,6 +208,159 @@ def bcg_stable_mask(rem_min, add_lo, add_hi, add_indptr, alphas):
         adds = segment_any((hi > above) & (lo >= below), add_indptr)
         np.logical_not(severs | adds, out=out[:, column])
     return out
+
+
+#: Non-edges per chunk of the interval precompute: bounds its transient
+#: float64 copies and bisection work arrays to a few hundred KB each.
+_INTERVAL_CHUNK = 1 << 15
+
+
+def _float_keys(x):
+    """Map float64 values to ``uint64`` keys in the same total order.
+
+    Over the non-NaN floats, ``-inf`` gets the smallest key and ``+inf``
+    the largest, and adjacent floats get adjacent keys, so bisection over
+    keys is bisection over floats (``-0.0`` and ``+0.0`` are adjacent
+    keys; every comparison treats them alike).
+    """
+    np = _np
+    bits = x.view(np.uint64)
+    sign = np.uint64(1 << 63)
+    return np.where(bits & sign, ~bits, bits | sign)
+
+
+def _key_floats(keys):
+    """Inverse of :func:`_float_keys`."""
+    np = _np
+    sign = np.uint64(1 << 63)
+    return np.where(keys & sign, keys ^ sign, ~keys).view(np.float64)
+
+
+def _largest_alpha(values, shift: float, strict: bool):
+    """Per value ``v``: the largest float64 ``α`` with ``fl(α + shift) < v``.
+
+    ``strict=False`` uses ``<=`` instead.  Both conditions are monotone in
+    ``α`` (IEEE rounding is monotone), so the satisfying set is a down-set
+    of the floats.  Its maximum is almost always ``fl(v - shift)`` or one
+    ``nextafter`` step from it, which one step settles; the remaining
+    lanes (e.g. ``v`` within ``shift`` of zero, where the float spacing
+    collapses) are bisected over :func:`_float_keys`.  Lanes where no
+    ``α``, not even ``-inf``, qualifies come back ``NaN``.
+    """
+    np = _np
+    v = np.asarray(values, dtype=np.float64)
+    out = np.full(v.shape, np.nan)
+
+    def holds(alpha, bound):
+        moved = alpha + shift
+        return moved < bound if strict else moved <= bound
+
+    lanes = np.flatnonzero(holds(np.full(v.shape, -np.inf), v))
+    v = v[lanes]
+    top = holds(np.full(v.shape, np.inf), v)
+    out[lanes[top]] = np.inf
+    lanes, v = lanes[~top], v[~top]
+    guess = v - shift
+    fits = holds(guess, v)
+    with np.errstate(over="ignore"):  # the float past +-max is +-inf
+        step = np.nextafter(guess, np.where(fits, np.inf, -np.inf))
+    settled = fits != holds(step, v)
+    out[lanes[settled]] = np.where(fits, guess, step)[settled]
+    lanes, v = lanes[~settled], v[~settled]
+    if not lanes.size:
+        return out
+    # Invariant: holds at lo, fails at hi (checked above for -inf / +inf).
+    lo = np.full(v.shape, _float_keys(np.array([-np.inf]))[0])
+    hi = np.full(v.shape, _float_keys(np.array([np.inf]))[0])
+    while True:
+        gap = hi - lo
+        active = np.flatnonzero(gap > np.uint64(1))
+        if not active.size:
+            break
+        mid = lo[active] + (gap[active] >> np.uint64(1))
+        ok = holds(_key_floats(mid), v[active])
+        lo[active] = np.where(ok, mid, lo[active])
+        hi[active] = np.where(ok, hi[active], mid)
+    out[lanes] = _key_floats(lo)
+    return out
+
+
+@obs.timed_kernel("bcg_stability_intervals")
+def bcg_stability_intervals(rem_min, add_lo, add_hi, add_indptr):
+    """Each class's exact float stability interval ``(A, R]`` (Lemma 2).
+
+    :func:`bcg_stable_mask` declares class ``c`` stable at ``α`` iff
+
+    * no removal severs: ``not (rem_min < fl(α - tol))``, and
+    * no non-edge adds: never ``hi > fl(α + tol)`` with
+      ``lo >= fl(α - tol)``.
+
+    Rounding is monotone, so ``fl(α ± tol)`` never decreases as ``α``
+    grows.  The first condition therefore holds on a down-set of the
+    floats, whose maximum is ``R``: the largest ``α`` with
+    ``fl(α - tol) <= rem_min``.  Each non-edge's add condition also holds
+    on a down-set, the intersection of ``{fl(α + tol) < hi}`` and
+    ``{fl(α - tol) <= lo}``, whose maximum is the smaller of the two
+    maxima.  ``A`` is the largest such maximum over the class's non-edges.
+    Hence, for every float ``α``::
+
+        stable  <=>  not (α <= A)  and  not (α > R)
+
+    which :func:`bcg_interval_mask` evaluates.  The maxima are exact
+    floats, found by ``nextafter`` steps from ``fl(v ± tol)`` (bisection
+    where a step does not settle), not approximations.
+
+    ``NaN`` encodes "no such ``α``": ``A`` is ``NaN`` for a class with no
+    non-edge, or none that can ever add, and ``R`` is ``NaN`` only for a
+    ``NaN`` removal column.  Paired with the negated comparisons above,
+    ``NaN`` reproduces the oracle on every input, including ``α = -inf``
+    on complete graphs (a ``-inf`` sentinel would not) and ``α = NaN``
+    (every Definition 3 comparison is false, so every class is stable).
+
+    Work is done ``_INTERVAL_CHUNK`` non-edges at a time, cut at class
+    boundaries, so float32 columns are upcast one chunk at a time.
+
+    Returns ``(A, R)`` as float64 arrays of one entry per class.
+    """
+    np = _require_numpy()
+    R = _largest_alpha(rem_min, -BCG_TOL, strict=False)
+    indptr = np.asarray(add_indptr, dtype=np.int64)
+    A = np.full(indptr.shape[0] - 1, np.nan)
+    cuts = np.unique(
+        np.searchsorted(
+            indptr,
+            np.arange(0, int(indptr[-1]), _INTERVAL_CHUNK),
+            side="right",
+        )
+        - 1
+    ).tolist() + [A.shape[0]]
+    for first, last in zip(cuts[:-1], cuts[1:]):
+        begin, end = int(indptr[first]), int(indptr[last])
+        adds = np.minimum(
+            _largest_alpha(add_hi[begin:end], BCG_TOL, strict=True),
+            _largest_alpha(add_lo[begin:end], -BCG_TOL, strict=False),
+        )
+        A[first:last] = _segment_reduce(
+            adds, indptr[first:last + 1] - begin, np.fmax, np.nan
+        )
+    return A, R
+
+
+@obs.timed_kernel("bcg_interval_mask")
+def bcg_interval_mask(A, R, alphas):
+    """``bool[n_classes, n_alphas]`` stability from :func:`bcg_stability_intervals`.
+
+    Bit-identical to :func:`bcg_stable_mask` on the columns the intervals
+    were derived from, for every float ``α`` including ``±0``, ``±inf``
+    and ``NaN``.  The result is the transpose of an ``α``-major array, so
+    each grid column is contiguous (and the comparisons run along the long
+    class axis).
+    """
+    np = _require_numpy()
+    grid = np.array([float(a) for a in alphas], dtype=np.float64)[:, None]
+    out = grid <= np.asarray(A, dtype=np.float64)[None, :]
+    out |= grid > np.asarray(R, dtype=np.float64)[None, :]
+    return np.logical_not(out, out=out).T
 
 
 @obs.timed_kernel("ucg_nash_mask")

@@ -12,10 +12,12 @@ Three layers, each importable on its own:
   (:class:`ArtifactServer`) plus :func:`start_in_thread` for in-process
   testing.
 
-:class:`GridBatcher` (:mod:`repro.service.batching`) slots between the
+:class:`GridBatcher` (:mod:`repro.service.batching`) can slot between the
 API and the kernels to coalesce concurrent grid requests into shared
 vectorised calls — bit-exactly, because every grid kernel in the library
-answers each grid point as an independent column.
+answers each grid point as an independent column.  ``repro serve`` does
+not attach one: BCG grids are read off cached per-class stability
+intervals, which leaves no kernel cost for a wait window to amortise.
 """
 
 from .api import QueryAPI  # noqa: F401

@@ -9,10 +9,11 @@ parses HTTP, and callers never touch store internals.
 
 Every answer is produced by the same vectorised kernels the stores expose
 directly, so responses are bit-identical to single-threaded direct kernel
-calls — including when an attached
+calls — including when an optional
 :class:`~repro.service.batching.GridBatcher` coalesces concurrent grid
 requests into shared kernel calls (the kernels are per-column independent;
-the batcher only merges and re-slices grids).
+the batcher only merges and re-slices grids).  ``repro serve`` runs
+without one.
 """
 
 from __future__ import annotations

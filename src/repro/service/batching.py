@@ -21,6 +21,9 @@ the batch.
 
 The batcher is transport-free — :class:`~repro.service.api.QueryAPI` calls
 it from whatever threads the server (or a test hammer) runs requests on.
+``repro serve`` no longer attaches one: census BCG grids are answered from
+cached per-class stability intervals, so a lone request would only pay
+the wait window.
 """
 
 from __future__ import annotations

@@ -17,10 +17,16 @@ over JSON:
 ========================================  =====================================
 
 Request handling is async, but every query body runs in a
-:class:`~concurrent.futures.ThreadPoolExecutor` via ``run_in_executor`` —
-which is what lets the :class:`~repro.service.batching.GridBatcher` see
-genuinely concurrent threads and coalesce them into shared kernel calls.
-The event loop itself never blocks on NumPy.
+:class:`~concurrent.futures.ThreadPoolExecutor` via ``run_in_executor``, so
+concurrent requests overlap on threads and the event loop itself never
+blocks on NumPy.  Each grid request is computed on its own: BCG grids are
+read off cached per-class stability intervals, so there is no kernel
+worth batching and no coalescing window to wait out.
+
+Grid requests are validated strictly: ``alphas`` must be a non-empty list
+of finite real numbers (no ``null``, booleans, ``NaN`` or infinities;
+400 otherwise) with at most :data:`MAX_GRID_POINTS` entries (413 beyond),
+and the same cap bounds the figure ``points``.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the listener, in-flight requests
 get a drain grace period, then the loop exits.  Binding port ``0`` picks a
@@ -31,22 +37,26 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from .._version import __version__
 from .api import QueryAPI
-from .batching import GridBatcher
 from .catalog import ArtifactCatalog
 
 __all__ = ["ArtifactServer", "start_in_thread"]
 
 #: Upper bound on request body size (JSON query payloads are tiny).
 MAX_BODY = 4 * 1024 * 1024
+
+#: Most grid points one ``/v1/query/grid`` request may ask for, either as
+#: an explicit ``alphas`` list or as figure ``points``; more is a 413.
+MAX_GRID_POINTS = 4096
 
 #: Path label used for unrouted requests so the metrics cardinality stays
 #: bounded no matter what clients probe.
@@ -83,8 +93,8 @@ class ArtifactServer:
         Bind address; port ``0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
     threads:
-        Size of the compute pool queries run on.  More threads means more
-        concurrent kernel work *and* more coalescing opportunity.
+        Size of the compute pool queries run on (how many requests are
+        computed concurrently).
     drain_grace:
         Seconds to wait for in-flight requests during shutdown.
     """
@@ -343,8 +353,8 @@ class ArtifactServer:
         """Run a query body on the compute pool; translate ValueError/KeyError.
 
         Every potentially-expensive call goes through here so the event
-        loop stays free and concurrent requests genuinely overlap on
-        threads (which is what the grid batcher coalesces).
+        loop stays free and concurrent requests overlap on threads; each
+        call computes its own answer straight away.
         """
         try:
             return await self._loop.run_in_executor(
@@ -384,16 +394,15 @@ class ArtifactServer:
         """
         ref = _required_field(request, "artifact")
         if "alphas" in request:
-            alphas = request["alphas"]
-            if not isinstance(alphas, list) or not alphas:
-                raise HTTPError(400, "'alphas' must be a non-empty list")
             return self.api.grid_aggregates(
-                ref, alphas, str(request.get("game", "bcg"))
+                ref,
+                _alpha_grid(request["alphas"]),
+                str(request.get("game", "bcg")),
             )
         return self.api.figure(
             ref,
             quantity=str(request.get("quantity", "average_poa")),
-            points=int(request.get("points", 24)),
+            points=_grid_points(request.get("points", 24)),
         )
 
     def _query_windows(self, request: Dict[str, object]) -> Dict[str, object]:
@@ -425,7 +434,7 @@ def _parse_json(body: bytes) -> Dict[str, object]:
         return {}
     try:
         parsed = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except ValueError as error:  # bad UTF-8, bad JSON, over-long int literal
         raise HTTPError(400, f"invalid JSON body: {error}")
     if not isinstance(parsed, dict):
         raise HTTPError(400, "request body must be a JSON object")
@@ -437,6 +446,50 @@ def _required_field(request: Dict[str, object], name: str):
     if value is None:
         raise HTTPError(400, f"missing required field {name!r}")
     return value
+
+
+def _alpha_grid(alphas) -> List[float]:
+    """A request's ``alphas`` as floats, or the 400/413 it deserves.
+
+    Only finite real numbers are link costs.  ``null`` and strings, booleans
+    (which Python would read as ``0``/``1``) and the ``NaN``/``Infinity``
+    tokens or overflowing literals Python's JSON parser admits are all 400:
+    at ``NaN`` every Definition 3 comparison is false, so every class would
+    be reported stable.
+    """
+    if not isinstance(alphas, list) or not alphas:
+        raise HTTPError(400, "'alphas' must be a non-empty list")
+    if len(alphas) > MAX_GRID_POINTS:
+        raise HTTPError(
+            413,
+            f"'alphas' has {len(alphas)} points; at most "
+            f"{MAX_GRID_POINTS} are served",
+        )
+    grid = []
+    for alpha in alphas:
+        value = None
+        if isinstance(alpha, (int, float)) and not isinstance(alpha, bool):
+            try:
+                value = float(alpha)
+            except OverflowError:
+                pass
+        if value is None or not math.isfinite(value):
+            raise HTTPError(
+                400, f"'alphas' entries must be finite numbers, got {alpha!r:.40}"
+            )
+        grid.append(value)
+    return grid
+
+
+def _grid_points(points) -> int:
+    """A request's figure ``points`` as an int, or the 400/413 it deserves."""
+    if not isinstance(points, int) or isinstance(points, bool):
+        raise HTTPError(400, f"'points' must be an integer, got {points!r}")
+    if points > MAX_GRID_POINTS:
+        raise HTTPError(
+            413, f"'points' is {points}; at most {MAX_GRID_POINTS} are served"
+        )
+    return points
 
 
 def _require(method: str, expected: str) -> None:
@@ -476,14 +529,12 @@ def serve_forever(
     host: str = "127.0.0.1",
     port: int = 8973,
     threads: int = 4,
-    batch_window: float = 0.005,
     mmap: bool = True,
     drain_grace: float = 5.0,
 ) -> int:
     """Blocking entry point behind ``repro serve`` (installs signal handlers)."""
     catalog = ArtifactCatalog(root=root, mmap=mmap)
-    batcher = GridBatcher(window=batch_window) if batch_window > 0 else None
-    api = QueryAPI(catalog, batcher=batcher)
+    api = QueryAPI(catalog)
     server = ArtifactServer(
         api=api, host=host, port=port, threads=threads, drain_grace=drain_grace
     )

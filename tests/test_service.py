@@ -340,10 +340,7 @@ class TestHTTPServer:
     @pytest.fixture()
     def server(self, artifact_dir):
         clear_store_cache()
-        api = QueryAPI(
-            ArtifactCatalog(root=str(artifact_dir)),
-            batcher=GridBatcher(window=0.005),
-        )
+        api = QueryAPI(ArtifactCatalog(root=str(artifact_dir)))  # as `repro serve`
         server, thread = start_in_thread(api=api)
         yield server
         server.shutdown()
@@ -457,3 +454,67 @@ class TestHTTPServer:
         with pytest.raises(urllib.error.HTTPError) as wrong_method:
             self._get(server, "/v1/query/grid")
         assert wrong_method.value.code == 405
+
+
+class TestGridValidation:
+    """``/v1/query/grid`` answers bad or oversized α grids with 400/413."""
+
+    @pytest.fixture(scope="class")
+    def server(self, artifact_dir):
+        clear_store_cache()
+        server, thread = start_in_thread(
+            api=QueryAPI(ArtifactCatalog(root=str(artifact_dir)))
+        )
+        yield server
+        server.shutdown()
+        thread.join(timeout=10)
+        clear_store_cache()
+
+    def _status(self, server, body: str) -> int:
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{server.port}/v1/query/grid",
+            data=body.encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(request) as response:
+                return response.status
+        except urllib.error.HTTPError as error:
+            with error:
+                return error.code
+
+    def _grid(self, alphas: str) -> str:
+        return '{"artifact": "census4.npz", "alphas": %s}' % alphas
+
+    def test_finite_grid_is_served(self, server):
+        assert self._status(server, self._grid("[0.5, 2, 30.0]")) == 200
+
+    def test_null_alpha_is_400(self, server):
+        assert self._status(server, self._grid("[null]")) == 400
+
+    def test_nan_alpha_is_400(self, server):
+        assert self._status(server, self._grid("[NaN]")) == 400
+
+    def test_boolean_alpha_is_400(self, server):
+        assert self._status(server, self._grid("[true]")) == 400
+
+    def test_infinite_alphas_are_400(self, server):
+        assert self._status(server, self._grid("[-Infinity, 1e400]")) == 400
+        assert self._status(server, self._grid("[1, %s]" % ("9" * 400))) == 400
+
+    def test_integer_literal_past_the_parser_limit_is_400(self, server):
+        assert self._status(server, self._grid("[%s]" % ("9" * 5000))) == 400
+
+    def test_grid_longer_than_the_cap_is_413(self, server):
+        from repro.service.http import MAX_GRID_POINTS
+
+        alphas = json.dumps([1.0] * (MAX_GRID_POINTS + 1))
+        assert self._status(server, self._grid(alphas)) == 413
+
+    def test_figure_points_are_checked(self, server):
+        from repro.service.http import MAX_GRID_POINTS
+
+        figure = '{"artifact": "census4.npz", "points": %s}'
+        assert self._status(server, figure % "null") == 400
+        assert self._status(server, figure % (MAX_GRID_POINTS + 1)) == 413
+        assert self._status(server, figure % 6) == 200
