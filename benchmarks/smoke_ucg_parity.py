@@ -10,14 +10,22 @@ orientation backtracking references
 degenerate conventions (edgeless → ``[(inf, inf)]``, disconnected with
 edges → empty) and the orbit-pruning on/off equivalence.
 
+The backtracking is too slow beyond ``n = 6``, so ``--digest N`` pins the
+engine's scalar output at ``n = 7`` and ``n = 8`` instead: the sha256 of
+``json.dumps`` of every class's ``[[lo, hi], ...]`` list, in
+``enumerate_connected_graphs(N)`` order, must equal the stored value.
+
 Run::
 
-    PYTHONPATH=src python benchmarks/smoke_ucg_parity.py [--max-n 6]
+    PYTHONPATH=src python benchmarks/smoke_ucg_parity.py [--max-n 6] \
+        [--digest 7 --digest 8]
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import os
 import sys
 import time
@@ -40,10 +48,34 @@ def fresh(graph):
     return Graph(graph.n, graph.sorted_edges())
 
 
+#: Scalar engine output digests for the sizes the backtracking cannot reach.
+PINNED_DIGESTS = {
+    7: "6165f4b71390a1c0950319ffd52b5a928f75c795f405404831481ce5c2f2c087",
+    8: "81f234dbca6223298cee9261551f378a5cd7e0cdbfad6f7ed3493ad1e4ecd13a",
+}
+
+
+def interval_digest(n):
+    """sha256 of every connected class's α-set endpoints at size ``n``."""
+    graphs = [fresh(g) for g in enumerate_connected_graphs(n)]
+    payload = json.dumps(
+        [[list(pair) for pair in endpoints(s)] for s in ucg_alpha_sets(graphs)]
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--weighted-n", type=int, default=5)
+    parser.add_argument(
+        "--digest",
+        type=int,
+        action="append",
+        default=[],
+        choices=sorted(PINNED_DIGESTS),
+        help="check the pinned scalar output digest at this n (repeatable)",
+    )
     args = parser.parse_args(argv)
 
     if not ucg_engine_available():
@@ -87,6 +119,14 @@ def main(argv=None) -> int:
             )
         total += len(graphs)
         print(f"weighted {name} n={n}: {len(graphs)} classes float-exact")
+
+    for n in args.digest:
+        digest = interval_digest(n)
+        assert digest == PINNED_DIGESTS[n], (
+            f"scalar UCG digest changed at n={n}: {digest} "
+            f"!= pinned {PINNED_DIGESTS[n]}"
+        )
+        print(f"scalar n={n}: digest matches {digest[:12]}…")
 
     elapsed = time.perf_counter() - start
     print(f"OK: {total} interval sets engine ≡ backtracking in {elapsed:.1f}s")

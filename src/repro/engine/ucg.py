@@ -14,14 +14,15 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    *opponent-bought* neighbour mask ``A = N(p) \\ T``: the deviation
    candidates are ``C = V \\ ({p} ∪ A)`` and every purchase set ``S ⊆ C``
    contributes a constraint through ``D_p(A ∪ S)``, the distance sum from
-   ``p`` when its neighbour set is ``A ∪ S``.  All ``2^n`` values of
-   ``D_p(·)`` come from one vertex-deleted all-pairs distance pass (batched
-   boolean matmuls, exactly the :mod:`repro.engine.batch` frontier idiom)
-   followed by a subset-min DP, and the per-``A`` interval endpoints reduce
-   to size-grouped superset minima (an n-pass sum-over-subsets transform).
-   Division by the (positive) purchase-count difference is weakly monotone,
-   so taking the group extremum *before* the division produces bit-identical
-   endpoints to the reference's per-subset fold.
+   ``p`` when its neighbour set is ``A ∪ S``.  The ``2^(n-1)`` values of
+   ``D_p(B)`` over ``B ∌ p`` come from one all-pairs distance pass in
+   ``G - p`` (batched boolean matmuls, exactly the :mod:`repro.engine.batch`
+   frontier idiom) followed by a subset-min DP.  Only the ``2^deg`` masks
+   ``A ⊆ N(p)`` are ever read, so rows sharing ``(p, N(p))`` share one
+   cached pair plan of every ``(A, B ⊇ A)``: each ``B`` yields the
+   reference's quotient ``-Δ/(|B| - deg)`` once, and each ``A`` reduces its
+   pairs with ``maximum``/``minimum.reduceat`` — the max/min of the very
+   multiset the reference folds, hence bit-identical endpoints.
 
 2. **Vertex-orbit pruning.**  ``D_p`` tables (and, in the scalar game, the
    final interval tables) of automorphic players are permuted copies of each
@@ -38,10 +39,11 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    every orientation prefix reaching that state.  States are additionally
    quotiented by a per-vertex *future-equivalence*: two inherited masks that
    generate the same (interval, deferral) options under every possible
-   further deferral are interchangeable, which collapses the state space of
-   vertex-transitive dense graphs (``K_8`` drops from ~10^6 raw states to a
-   few hundred).  Suffix hull pruning drops — never trims — intervals that
-   cannot intersect the remaining players' feasible hulls.
+   further deferral are interchangeable (found by partition refinement),
+   which collapses the state space of vertex-transitive dense graphs
+   (``K_8`` drops from ~10^6 raw states to a few hundred).  Suffix hull
+   pruning drops — never trims — intervals that cannot intersect the
+   remaining players' feasible hulls.
 
 The weighted game (:func:`weighted_ucg_t_sets`) shares the model-independent
 ``D_p`` tables (distances are unweighted hops) and replaces purchase counts
@@ -57,6 +59,7 @@ available and is what every test asserts against.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # soft dependency, mirroring repro.engine.batch
@@ -72,8 +75,7 @@ INFINITY = float("inf")
 #: Largest ``n`` the table pipeline handles (2^n-entry tables per player).
 _MAX_TABLE_N = 12
 
-#: Row budget per internal batch: bounds the (rows, 2^n, n) float32 DP
-#: tensor and the (rows, n, 2^n) float64 superset-min tensor to ~tens of MB.
+#: Byte budget per internal batch of (graph, player) rows; see _row_budget.
 _TABLE_BYTE_BUDGET = 96 << 20
 
 
@@ -87,14 +89,16 @@ def ucg_engine_available() -> bool:
 # --------------------------------------------------------------------------- #
 
 
-def _mask_image(perm: Sequence[int], n: int) -> List[int]:
+@lru_cache(maxsize=None)
+def _bit_columns(n: int):
+    """``(2^n, n)`` 0/1 matrix: column ``b`` is bit ``b`` of every mask."""
+    masks = _np.arange(1 << n, dtype=_np.int64)
+    return (masks[:, None] >> _np.arange(n, dtype=_np.int64)) & 1
+
+
+def _mask_image(perm: Sequence[int], n: int):
     """``img[mask]`` = image of ``mask`` under the vertex permutation."""
-    size = 1 << n
-    img = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        img[mask] = img[mask ^ low] | (1 << perm[low.bit_length() - 1])
-    return img
+    return _bit_columns(n) @ (1 << _np.asarray(perm, dtype=_np.int64))
 
 
 def _orbit_plan(graph, use_orbits: Optional[bool], image_cache: Dict):
@@ -150,48 +154,63 @@ def _orbit_plan(graph, use_orbits: Optional[bool], image_cache: Dict):
         key = (n, tuple(inverse))
         gather = image_cache.get(key)
         if gather is None:
-            gather = _np.asarray(_mask_image(inverse, n), dtype=_np.int64)
+            gather = _mask_image(inverse, n)
             image_cache[key] = gather
         per_player.append((rep, gather))
     return reps, per_player
 
 
 # --------------------------------------------------------------------------- #
-# Distance-sum tables: D_p(B) for every neighbour mask B, batched
+# Distance-sum tables: D_p(B) for every neighbour mask B ∌ p, batched
 # --------------------------------------------------------------------------- #
 
 
 def _popcounts(n: int):
+    return _bit_columns(n).sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _free_masks(n: int):
+    """``(n, 2^(n-1))``: row ``p`` lists the masks without bit ``p``, ascending.
+
+    Column ``c`` of row ``p`` is ``c`` with a zero inserted at bit ``p`` —
+    the index layout of :func:`_free_distance_sums`.
+    """
     masks = _np.arange(1 << n, dtype=_np.int64)
-    pop = _np.zeros(1 << n, dtype=_np.int64)
-    for b in range(n):
-        pop += (masks >> b) & 1
-    return pop
+    return _np.stack([masks[((masks >> p) & 1) == 0] for p in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _kept_vertices(n: int):
+    """``(n, n-1)``: row ``p`` lists the vertices other than ``p``, ascending."""
+    return _np.array(
+        [[v for v in range(n) if v != p] for p in range(n)], dtype=_np.int64
+    )
 
 
 def _vertex_deleted_distances(graphs, rows_idx, n: int):
     """Hop distances within ``G - p`` for every requested ``(graph, p)`` row.
 
-    Returns ``dist[r, k, j]`` (``inf`` when unreachable) computed by the
-    lock-step frontier matmul of :func:`repro.engine.batch._batch_group`,
-    with row/column ``p`` zeroed out of each adjacency copy.
+    Returns ``dist[r, k, j]`` over the ``n - 1`` vertices other than ``p``
+    (relabelled ``0..n-2`` in order; ``inf`` when unreachable), computed by
+    the lock-step frontier matmul of :func:`repro.engine.batch._batch_group`.
     """
     np = _np
     R = len(rows_idx)
+    m = n - 1
     rows = np.array(
         [graphs[gi].adjacency_rows() for gi, _ in rows_idx], dtype=np.int64
     )
-    A = ((rows[:, :, None] >> np.arange(n)[None, None, :]) & 1).astype(np.uint8)
     p_arr = np.asarray([p for _, p in rows_idx], dtype=np.int64)
-    rr = np.arange(R)
-    A[rr, p_arr, :] = 0
-    A[rr, :, p_arr] = 0
-    eye = np.eye(n, dtype=bool)
-    visited = np.broadcast_to(eye, (R, n, n)).copy()
+    kept = _kept_vertices(n)[p_arr]
+    nbr_rows = np.take_along_axis(rows, kept, axis=1)
+    A = ((nbr_rows[:, :, None] >> kept[:, None, :]) & 1).astype(np.uint8)
+    eye = np.eye(m, dtype=bool)
+    visited = np.broadcast_to(eye, (R, m, m)).copy()
     frontier = visited.astype(np.uint8)
-    dist = np.full((R, n, n), np.inf)
+    dist = np.full((R, m, m), np.inf)
     dist[:, eye] = 0.0
-    for level in range(1, n):
+    for level in range(1, m):
         nxt = (np.matmul(frontier, A) > 0) & ~visited
         if not nxt.any():
             break
@@ -201,79 +220,123 @@ def _vertex_deleted_distances(graphs, rows_idx, n: int):
     return dist, p_arr
 
 
-def _distance_sum_tables(graphs, rows_idx, n: int):
-    """``Dsum[r, B]`` = Σ_{j≠p} min_{k∈B} (1 + d_{G-p}(k, j)) as float64.
+def _free_distance_sums(graphs, rows_idx, n: int):
+    """``dfree[r, c]`` = ``D_p(B)`` for the ``c``-th mask ``B ∌ p``.
 
-    ``D_p(B)`` is the distance sum from ``p`` when its neighbour set is
-    exactly ``B`` (shortest paths from ``p`` never revisit ``p``, so the
-    remainder of each path lives in ``G - p``); integer-valued (or ``inf``)
-    and therefore exact in the float32 min-DP and the float64 sum.
+    ``D_p(B) = Σ_{j≠p} min_{k∈B} (1 + d_{G-p}(k, j))`` is the distance sum
+    from ``p`` when its neighbour set is exactly ``B`` (shortest paths from
+    ``p`` never revisit ``p``, so the remainder of each path lives in
+    ``G - p``).  ``B`` is indexed as in :func:`_free_masks` — masks over
+    ``G - p``'s relabelled vertices — so one ``2^(n-1)``-mask DP serves
+    every row.  Values are integers (or ``inf``), exact in float32 and
+    returned as float64.
     """
     np = _np
     dist, p_arr = _vertex_deleted_distances(graphs, rows_idx, n)
-    R = dist.shape[0]
-    size = 1 << n
-    rows16 = (1.0 + dist).astype(np.float32)
-    rr = np.arange(R)
-    rows16[rr, p_arr, :] = np.float32(np.inf)  # masks containing p: poisoned
-    table = np.full((R, size, n), np.inf, dtype=np.float32)
-    for mask in range(1, size):
+    R, m = dist.shape[0], n - 1
+    # Mask-major layout: every DP step reads and writes contiguous blocks.
+    rows16 = np.ascontiguousarray((1.0 + dist).transpose(1, 0, 2), np.float32)
+    table = np.empty((1 << m, R, m), dtype=np.float32)
+    table[0] = np.inf
+    for mask in range(1, 1 << m):
         low = mask & -mask
         np.minimum(
-            table[:, mask ^ low, :],
-            rows16[:, low.bit_length() - 1, :],
-            out=table[:, mask, :],
+            table[mask ^ low], rows16[low.bit_length() - 1], out=table[mask]
         )
-    # j = p contributes nothing to the sum (and makes D_p(∅) = 0 at n = 1).
-    table[rr, :, p_arr] = 0.0
-    dsum = table.sum(axis=2, dtype=np.float64)
-    return dsum, p_arr
+    # Integer terms below 2^24 (or inf): the float32 sum is exact.
+    dfree = table.sum(axis=2).T.astype(np.float64)
+    return dfree, p_arr
 
 
 # --------------------------------------------------------------------------- #
-# Scalar interval tables: lo/hi/empty per (player row, opponent mask A)
+# Scalar interval tables: lo/hi/ok per (player row, opponent mask A ⊆ N(p))
 # --------------------------------------------------------------------------- #
 
 
-def _scalar_interval_tables(dsum, p_arr, nbr_arr, n: int):
-    """Per-row ``(lo, hi, empty)`` tables over every opponent mask ``A``.
+@lru_cache(maxsize=1024)  # all 8·2^7 (p, N(p)) keys at n = 8; ≤ 3^(n-1) pairs each
+def _pair_plan(n: int, p: int, nbr: int):
+    """Pairs of opponent masks ``A ⊆ nbr`` and deviation sets ``B ⊇ A``.
 
-    Exactly :func:`repro.core.unilateral.ownership_best_response_interval`
-    vectorised: constraints are grouped by the size ``m`` of the deviation
-    neighbour set ``B ⊇ A`` and reduced through per-size superset minima —
-    ``-Δ_min/(m - deg)`` reproduces the reference quotients bit-for-bit
-    because IEEE division by a fixed signed integer is monotone in the
-    numerator and ``(-x)/(-d) ≡ x/d``.
+    Deviation neighbour sets never contain ``p`` and are split by ``|B|``
+    against ``deg = |nbr|``.  ``B`` is indexed by its position in
+    ``_free_masks(n)[p]`` (the column layout of :func:`_free_distance_sums`).
+    Returns ``(base, subs, denom, plans)``: ``base`` is the index of ``nbr``
+    itself, ``subs`` the ``A`` masks, ``denom[b] = |B_b| - deg`` and
+    ``plans`` one ``(sel, starts)`` pair per class (above, below, equal).
+    ``sel`` indexes ``B`` with each ``A``'s pairs contiguous, starting at
+    ``starts[a]``; an ``A`` without pairs gets one sentinel index
+    ``2^(n-1)`` pointing at the caller's identity column, so every
+    ``reduceat`` segment is nonempty.
     """
     np = _np
-    R, size = dsum.shape
-    pop = _popcounts(n)
-    masks = np.arange(size, dtype=np.int64)
-    contains_p = ((masks[None, :] >> p_arr[:, None]) & 1).astype(bool)
-    dvalid = np.where(contains_p, np.inf, dsum)
-    sizes = np.arange(n, dtype=np.int64)
-    selector = pop[None, :] == sizes[:, None]  # (n, size)
-    grouped = np.where(selector[None, :, :], dvalid[:, None, :], np.inf)
-    for b in range(n):  # superset-min sum-over-subsets, one bit per pass
-        view = grouped.reshape(R, n, size >> (b + 1), 2, 1 << b)
-        np.minimum(view[..., 0, :], view[..., 1, :], out=view[..., 0, :])
-    base = dsum[np.arange(R), nbr_arr]
-    deg = pop[nbr_arr]
-    with np.errstate(invalid="ignore"):
-        delta = grouped - base[:, None, None]
-    np.nan_to_num(delta, copy=False, nan=0.0, posinf=np.inf, neginf=-np.inf)
-    denom = (sizes[None, :, None] - deg[:, None, None]).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotients = np.negative(delta) / denom
-    above = sizes[None, :, None] > deg[:, None, None]
-    below = sizes[None, :, None] < deg[:, None, None]
-    lo = np.maximum(
-        np.where(above, quotients, -np.inf).max(axis=1), 0.0
-    )
-    hi = np.where(below, quotients, np.inf).min(axis=1)
-    equal = np.take_along_axis(delta, deg[:, None, None], axis=1)[:, 0, :]
-    empty = equal < -1e-12
-    return lo, hi, empty
+    free = _free_masks(n)[p]
+    subs = np.asarray(_submasks(nbr), dtype=np.int64)
+    pop = _popcounts(n)[free]
+    deg = nbr.bit_count()
+    incl = (free[None, :] & subs[:, None]) == subs[:, None]
+    plans = []
+    for category in (pop > deg, pop < deg, pop == deg):
+        a_idx, b_idx = np.nonzero(incl & category[None, :])
+        counts = np.bincount(a_idx, minlength=len(subs))
+        sizes = np.maximum(counts, 1)
+        starts = np.cumsum(sizes) - sizes
+        sel = np.full(int(sizes.sum()), len(free), dtype=np.int64)
+        first = np.cumsum(counts) - counts
+        sel[starts[a_idx] + np.arange(len(a_idx)) - first[a_idx]] = b_idx
+        plans.append((sel, starts))
+    base = int(np.searchsorted(free, nbr))
+    return base, subs, (pop - deg).astype(np.float64), plans
+
+
+def _scalar_interval_tables(dfree, p_arr, nbr_arr, n: int):
+    """Per-row ``(lo, hi, ok)`` tables over opponent masks ``A ⊆ N(p)``.
+
+    Exactly :func:`repro.core.unilateral.ownership_best_response_interval`
+    vectorised.  Rows sharing ``(p, N(p))`` share one :func:`_pair_plan`:
+    every deviation set ``B`` yields the reference's quotient
+    ``-Δ_B/(|B| - deg)`` (``(-x)/(-d) ≡ x/d``, so the ``|B| < deg`` bound is
+    bit-identical too), and each ``A`` reduces its supersets' quotients with
+    ``maximum``/``minimum.reduceat`` — max/min of the same multiset the
+    reference folds.  Masks that are not subsets of ``N(p)`` stay
+    ``ok = False``.
+    """
+    np = _np
+    R, half = dfree.shape
+    size = 1 << n
+    lo = np.zeros((R, size))
+    hi = np.zeros((R, size))
+    ok = np.zeros((R, size), dtype=bool)
+    keys = p_arr * size + nbr_arr
+    order = np.argsort(keys, kind="stable")
+    bounds = np.flatnonzero(np.diff(keys[order])) + 1
+    for rows in np.split(order, bounds):
+        p, nbr = int(p_arr[rows[0]]), int(nbr_arr[rows[0]])
+        base, subs, denom, plans = _pair_plan(n, p, nbr)
+        (a_sel, a_starts), (b_sel, b_starts), (e_sel, e_starts) = plans
+        k = len(rows)
+        delta = dfree[rows]
+        with np.errstate(invalid="ignore"):
+            delta -= delta[:, base][:, None]
+        np.copyto(delta, 0.0, where=np.isnan(delta))  # ∞ - ∞: no change
+        # Column ``half`` is the reduction identity (see _pair_plan).
+        quot = np.empty((k, half + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(np.negative(delta), denom, out=quot[:, :half])
+        quot[:, half] = -np.inf
+        lo_sub = np.maximum(
+            np.maximum.reduceat(quot[:, a_sel], a_starts, axis=1), 0.0
+        )
+        quot[:, half] = np.inf
+        hi_sub = np.minimum.reduceat(quot[:, b_sel], b_starts, axis=1)
+        ext = np.empty((k, half + 1))
+        ext[:, :half] = delta
+        ext[:, half] = np.inf
+        empty = np.minimum.reduceat(ext[:, e_sel], e_starts, axis=1) < -1e-12
+        cols = rows[:, None], subs[None, :]
+        lo[cols] = lo_sub
+        hi[cols] = hi_sub
+        ok[cols] = ~empty & (lo_sub <= hi_sub)
+    return lo, hi, ok
 
 
 def _expand_rows(tables, plans, row_of, n: int):
@@ -355,55 +418,63 @@ def _vertex_classes(v: int, nbr: int, lo_row, hi_row, ok_row):
     Two inherited masks ``I, I'`` (earlier neighbours that deferred their
     shared edge to ``v``) are interchangeable for the rest of the search iff
     they generate the same set of ``(interval, deferred-mask)`` options
-    under *every* further deferral ``D``: the class signature is the tuple
-    of option-set ids of ``I ∪ D`` over all ``D``.  This is compositional
+    under *every* further deferral ``D``, i.e. ``sig(I ∪ D) = sig(I' ∪ D)``
+    for the option-set id ``sig``.  This is compositional
     (``I ≡ I' ⇒ I∪D ≡ I'∪D``), so transitions live on class ids.  Returns
-    ``(options_by_class, transitions)`` where ``transitions[cls][src]`` is
-    the class after vertex ``src`` defers its shared edge, and class 0 is
-    always the empty inherited mask.
+    ``(options_by_class, transitions)`` where ``transitions[src][cls]`` is
+    the class after earlier neighbour ``src`` defers its shared edge, and
+    class 0 is always the empty inherited mask.
     """
     below = (1 << v) - 1
     earlier = nbr & below
     local = nbr & ~below & ~(1 << v)
     j_list = _submasks(earlier)
-    local_subs = _submasks(local)
+    # ``kept`` local edges stay owned, the rest are deferred; owned =
+    # inherited | kept, so the opponent mask is nbr ^ inherited ^ kept.
+    splits = [(kept, local ^ kept) for kept in _submasks(local)]
     sig_ids: Dict = {}
     sig_of: Dict[int, int] = {}
     opts_of: Dict[int, list] = {}
     for inherited in j_list:
-        options = []
-        for kept in local_subs:
-            owned = inherited | kept
-            opponents = nbr ^ owned
-            if ok_row[opponents]:
-                options.append(
-                    (lo_row[opponents], hi_row[opponents], local ^ kept)
-                )
-        key = frozenset(options)
-        sig_of[inherited] = sig_ids.setdefault(key, len(sig_ids))
+        rest = nbr ^ inherited
+        options = [
+            (lo_row[opp], hi_row[opp], deferred)
+            for kept, deferred in splits
+            if ok_row[opp := rest ^ kept]
+        ]
+        # Options come in ``splits`` order and ``deferred`` fixes each
+        # one's position, so equal tuples ⇔ equal option sets.
+        sig_of[inherited] = sig_ids.setdefault(tuple(options), len(sig_ids))
         opts_of[inherited] = options
-    if len(sig_ids) == len(j_list):
-        # Every mask behaves distinctly: identity quotient, skip the
-        # (quadratic in 2^|earlier|) signature-tuple construction.
-        cls_of = {inherited: idx for idx, inherited in enumerate(j_list)}
-    else:
+    # Partition refinement: after t rounds two masks share a class iff
+    # their option sets agree under every deferral D with |D| <= t, so the
+    # fixpoint is the quotient by agreement under every D.
+    bits = []
+    rest = earlier
+    while rest:
+        bits.append(rest & -rest)
+        rest &= rest - 1
+    cls_of, count = sig_of, len(sig_ids)
+    while count < len(j_list):
         class_ids: Dict = {}
-        cls_of = {}
+        refined = {}
         for inherited in j_list:
-            signature = tuple(sig_of[inherited | d] for d in j_list)
-            cls_of[inherited] = class_ids.setdefault(signature, len(class_ids))
-    count = max(cls_of.values()) + 1
+            key = (cls_of[inherited],) + tuple(
+                cls_of[inherited | bit] for bit in bits
+            )
+            refined[inherited] = class_ids.setdefault(key, len(class_ids))
+        if len(class_ids) == count:
+            break
+        cls_of, count = refined, len(class_ids)
     options_by_class = [None] * count
-    transitions = [dict() for _ in range(count)]
+    transitions = {bit.bit_length() - 1: [None] * count for bit in bits}
     for inherited in j_list:
         cls = cls_of[inherited]
         if options_by_class[cls] is None:
             options_by_class[cls] = opts_of[inherited]
-        rest = earlier & ~inherited
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            transitions[cls][bit.bit_length() - 1] = cls_of[inherited | bit]
+        for bit in bits:
+            if not inherited & bit:
+                transitions[bit.bit_length() - 1][cls] = cls_of[inherited | bit]
     return options_by_class, transitions
 
 
@@ -440,7 +511,7 @@ def _orientation_union(n, nbrs, lo_rows, hi_rows, ok_rows, hull_lo, hull_hi):
                 continue
             rest = key >> n
             for ilo, ihi, deferred in opts:
-                out = None
+                out = []
                 for l, h in intervals:
                     if ilo > l:
                         l = ilo
@@ -448,11 +519,8 @@ def _orientation_union(n, nbrs, lo_rows, hi_rows, ok_rows, hull_lo, hull_hi):
                         h = ihi
                     if l > h or l > shh or h < shl:
                         continue
-                    if out is None:
-                        out = [(l, h)]
-                    else:
-                        out.append((l, h))
-                if out is None:
+                    out.append((l, h))
+                if not out:
                     continue
                 nk = rest
                 d = deferred
@@ -462,9 +530,7 @@ def _orientation_union(n, nbrs, lo_rows, hi_rows, ok_rows, hull_lo, hull_hi):
                     w = bit.bit_length() - 1
                     shift = (w - u - 1) * n
                     cls = (nk >> shift) & slot
-                    ncls = classes[w][1][cls][u]
-                    if ncls != cls:
-                        nk ^= (cls ^ ncls) << shift
+                    nk ^= (cls ^ classes[w][1][u][cls]) << shift
                 cur = new_states.get(nk)
                 new_states[nk] = (
                     out if cur is None else _union_interval_lists(cur, out)
@@ -496,33 +562,27 @@ def _chunk_rows(graphs, use_orbits):
     return plans, rows_idx, row_of
 
 
-def _hulls_and_masks(lo_full, hi_full, empty_full, nbr_full, n: int):
-    """Validity masks, per-player hulls and the per-graph feasibility test."""
+def _hulls(lo_full, hi_full, ok_full, n: int):
+    """Per-player feasible hulls and the per-graph feasibility test."""
     np = _np
-    size = lo_full.shape[1]
-    masks = np.arange(size, dtype=np.int64)
-    valid = (masks[None, :] & ~nbr_full[:, None]) == 0
-    ok = valid & ~empty_full & (lo_full <= hi_full)
     G = lo_full.shape[0] // n
-    player_ok = ok.any(axis=1).reshape(G, n)
-    hull_lo = np.where(ok, lo_full, np.inf).min(axis=1).reshape(G, n)
-    hull_hi = np.where(ok, hi_full, -np.inf).max(axis=1).reshape(G, n)
+    player_ok = ok_full.any(axis=1).reshape(G, n)
+    hull_lo = np.where(ok_full, lo_full, np.inf).min(axis=1).reshape(G, n)
+    hull_hi = np.where(ok_full, hi_full, -np.inf).max(axis=1).reshape(G, n)
     graph_ok = player_ok.all(axis=1) & (
         hull_lo.max(axis=1) <= hull_hi.min(axis=1)
     )
-    return ok, hull_lo, hull_hi, graph_ok
+    return hull_lo, hull_hi, graph_ok
 
 
 def _search_graph(graph, gi, n, lo_full, hi_full, ok_full, hull_lo, hull_hi):
-    lo_rows = lo_full[gi * n : (gi + 1) * n].tolist()
-    hi_rows = hi_full[gi * n : (gi + 1) * n].tolist()
-    ok_rows = ok_full[gi * n : (gi + 1) * n].tolist()
+    rows = slice(gi * n, (gi + 1) * n)
     return _orientation_union(
         n,
         list(graph.adjacency_rows()),
-        lo_rows,
-        hi_rows,
-        ok_rows,
+        lo_full[rows].tolist(),
+        hi_full[rows].tolist(),
+        ok_full[rows].tolist(),
         hull_lo[gi].tolist(),
         hull_hi[gi].tolist(),
     )
@@ -545,21 +605,13 @@ def _scalar_chunk_sets(graphs, use_orbits):
     np = _np
     n = graphs[0].n
     plans, rows_idx, row_of = _chunk_rows(graphs, use_orbits)
-    dsum, p_arr = _distance_sum_tables(graphs, rows_idx, n)
+    dfree, p_arr = _free_distance_sums(graphs, rows_idx, n)
     nbr_arr = np.asarray(
         [graphs[gi].adjacency_rows()[p] for gi, p in rows_idx], dtype=np.int64
     )
-    lo, hi, empty = _scalar_interval_tables(dsum, p_arr, nbr_arr, n)
-    lo_full, hi_full, empty_full = _expand_rows(
-        [lo, hi, empty], plans, row_of, n
-    )
-    nbr_full = np.asarray(
-        [g.adjacency_rows()[p] for g in graphs for p in range(n)],
-        dtype=np.int64,
-    )
-    ok_full, hull_lo, hull_hi, graph_ok = _hulls_and_masks(
-        lo_full, hi_full, empty_full, nbr_full, n
-    )
+    tables = _scalar_interval_tables(dfree, p_arr, nbr_arr, n)
+    lo_full, hi_full, ok_full = _expand_rows(tables, plans, row_of, n)
+    hull_lo, hull_hi, graph_ok = _hulls(lo_full, hi_full, ok_full, n)
     results = []
     for gi, graph in enumerate(graphs):
         if not graph_ok[gi]:
@@ -573,8 +625,14 @@ def _scalar_chunk_sets(graphs, use_orbits):
 
 
 def _row_budget(n: int) -> int:
-    per_row = (1 << n) * n * 12  # float32 DP tensor + float64 superset-min
-    return max(n, min(4096, _TABLE_BYTE_BUDGET // max(per_row, 1)))
+    # Bytes per row, counted per mask B ∌ p (2^(n-1) of them): the float32
+    # min-DP slice (4(n-1)), its float32 sum and float64 D_p (12), lo/hi/ok
+    # over 2^n masks at 17 B, per representative and expanded (68), the
+    # int64 orbit gather (16) and the float64 delta/quot/ext group arrays
+    # (24).  On top come the float64 pair-plan gathers quot[:, sel], one at a
+    # time, each at most 2^(n-1-d)·3^d + 2^d <= 3^(n-1) + 2^(n-1) wide.
+    per_row = (1 << (n - 1)) * (4 * n + 124) + 8 * 3 ** (n - 1)
+    return max(n, min(4096, _TABLE_BYTE_BUDGET // per_row))
 
 
 @obs.timed_kernel("ucg_alpha_sets")
@@ -733,10 +791,11 @@ def _weighted_chunk_sets(graphs, model, use_orbits):
     n = graphs[0].n
     pop = _popcounts(n)
     plans, rows_idx, row_of = _chunk_rows(graphs, use_orbits)
-    dsum, _ = _distance_sum_tables(graphs, rows_idx, n)
+    dfree, p_arr = _free_distance_sums(graphs, rows_idx, n)
+    # Full-mask rows for _weighted_player_rows; it never reads masks with p.
+    dsum = np.full((len(rows_idx), 1 << n), np.inf)
+    dsum[np.arange(len(rows_idx))[:, None], _free_masks(n)[p_arr]] = dfree
     (dsum_full,) = _expand_rows([dsum], plans, row_of, n)
-    with np.errstate(invalid="ignore"):
-        pass
     results = []
     submask_cache: Dict[int, object] = {}
     wsum_tables = [

@@ -12,13 +12,14 @@ instances, so a memo can never go stale).
 
 import importlib.util
 import math
+import random
 
 import pytest
 
 from repro.analysis.scenarios import available_scenarios, build_scenario
 from repro.core.stability_intervals import AlphaIntervalSet
 from repro.core.unilateral import ucg_nash_alpha_set
-from repro.costmodels import UniformCost
+from repro.costmodels import PerPlayerCost, UniformCost
 from repro.costmodels.stability import weighted_ucg_nash_t_set
 from repro.engine import ucg_alpha_sets, ucg_engine_available, weighted_ucg_t_sets
 from repro.graphs import (
@@ -178,6 +179,120 @@ class TestOrbitPruning:
         )
         for a, b in zip(forced, plain):
             assert endpoints(a) == endpoints(b)
+
+
+# --------------------------------------------------------------------------- #
+# Player order: relabelling invariance and the class quotient
+# --------------------------------------------------------------------------- #
+
+
+def relabel(graph: Graph, perm) -> Graph:
+    """``graph`` with vertex ``v`` renamed ``perm[v]`` (a fresh instance)."""
+    return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.sorted_edges()])
+
+
+def seeded_perms(n: int, count: int = 3):
+    return [random.Random(seed).sample(range(n), n) for seed in range(count)]
+
+
+@needs_numpy
+class TestOrderInvariance:
+    """The DP takes players in label order, so a relabelling changes every
+    intermediate state; the Nash set is a point set reached by exact
+    max/min intersections, so the endpoints must not change."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_scalar_relabellings(self, n):
+        graphs = enumerate_connected_graphs(n)
+        expected = [endpoints(s) for s in ucg_alpha_sets([fresh(g) for g in graphs])]
+        for perm in seeded_perms(n):
+            relabelled = ucg_alpha_sets([relabel(g, perm) for g in graphs])
+            for graph, want, got in zip(graphs, expected, relabelled):
+                assert endpoints(got) == want, (
+                    f"relabelling {perm} changed n={n} {graph.sorted_edges()}"
+                )
+
+    def test_weighted_relabellings(self):
+        # Per-player rates make every link-cost sum independent of vertex
+        # labels.  (Per-edge weights would not do: the reference's ascending
+        # fold over a relabelled purchase set can round differently.)
+        n = 5
+        model = build_scenario("two_tier_isp", n, seed=7).model
+        graphs = enumerate_connected_graphs(n)
+        expected = [
+            endpoints(s)
+            for s in weighted_ucg_t_sets([fresh(g) for g in graphs], model)
+        ]
+        for perm in seeded_perms(n):
+            alphas = [0.0] * n
+            for v in range(n):
+                alphas[perm[v]] = model.alphas[v]
+            relabelled = weighted_ucg_t_sets(
+                [relabel(g, perm) for g in graphs], PerPlayerCost(alphas)
+            )
+            for graph, want, got in zip(graphs, expected, relabelled):
+                assert endpoints(got) == want, (
+                    f"relabelling {perm} changed {graph.sorted_edges()}"
+                )
+
+
+def brute_force_classes(v, nbr, lo_row, hi_row, ok_row):
+    """Inherited masks of ``v`` keyed by ``(sig(I ∪ D) for every D)``."""
+    earlier = nbr & ((1 << v) - 1)
+    local = nbr & ~((1 << (v + 1)) - 1)
+    inherited_masks = [m for m in range(earlier + 1) if m & ~earlier == 0]
+    local_masks = [m for m in range(local + 1) if m & ~local == 0]
+
+    def sig(inherited):
+        options = set()
+        for kept in local_masks:
+            opponents = nbr ^ (inherited | kept)
+            if ok_row[opponents]:
+                options.add((lo_row[opponents], hi_row[opponents], local ^ kept))
+        return frozenset(options)
+
+    return {
+        inherited: tuple(sig(inherited | d) for d in inherited_masks)
+        for inherited in inherited_masks
+    }, sig
+
+
+@needs_numpy
+class TestClassQuotient:
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_refinement_matches_brute_force(self, n):
+        from repro.engine import ucg
+
+        for graph in enumerate_connected_graphs(n):
+            rows_idx = [(0, p) for p in range(n)]
+            dfree, p_arr = ucg._free_distance_sums([graph], rows_idx, n)
+            nbrs = list(graph.adjacency_rows())
+            lo, hi, ok = (
+                t.tolist()
+                for t in ucg._scalar_interval_tables(dfree, p_arr, nbrs, n)
+            )
+            for v in range(n):
+                options_by_class, transitions = ucg._vertex_classes(
+                    v, nbrs[v], lo[v], hi[v], ok[v]
+                )
+                signature, sig = brute_force_classes(v, nbrs[v], lo[v], hi[v], ok[v])
+                # Class of each inherited mask, reached by deferring its
+                # bits one at a time from the empty mask (class 0).
+                class_of = {}
+                for inherited in signature:
+                    cls, rest = 0, inherited
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        cls = transitions[bit.bit_length() - 1][cls]
+                    class_of[inherited] = cls
+                    assert set(options_by_class[cls]) == sig(inherited)
+                for a in signature:
+                    for b in signature:
+                        assert (class_of[a] == class_of[b]) == (
+                            signature[a] == signature[b]
+                        ), f"n={n} {graph.sorted_edges()} v={v} masks {a}, {b}"
 
 
 # --------------------------------------------------------------------------- #
