@@ -11,14 +11,22 @@ count summaries are bit-identical.  Then exercises the artifact plumbing:
 run and reuses it untouched on the second, and a ``--save-dir`` resume
 reports its draws as resumed rather than recomputed.
 
-Run from the repository root (CI runs it with ``--n 5``)::
+``--digest`` instead checks the streaming regime: a 300-draw ``n = 6``
+ensemble (well past the default 64-draw exact buffer, so the window
+aggregates come from the running sums and P² sketches) must reproduce a
+pinned sha256 over its counts and window ``mean``/``min``/``max``/
+``quantiles``.
+
+Run from the repository root (CI runs both)::
 
     PYTHONPATH=src python benchmarks/smoke_ensemble_amortised.py --n 5
+    PYTHONPATH=src python benchmarks/smoke_ensemble_amortised.py --digest
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import tempfile
@@ -29,6 +37,36 @@ import numpy as np
 
 from repro.analysis.delta_store import DeltaStore
 from repro.analysis.ensembles import run_ensemble
+
+
+#: sha256 of the streamed n = 6, 300-draw, seed 1, 6-point-grid ensemble.
+PINNED_DIGEST = "51378de3682f9ee4a200bad1fffa0025a0d62c14764b0f4410a7decc5a9d75b1"
+
+
+def ensemble_digest(result) -> str:
+    """sha256 of counts + window mean/min/max/quantiles (std excluded)."""
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(result.counts, dtype="<i8").tobytes())
+    for stats in (result.t_min_stats, result.t_max_stats):
+        rows = [stats["mean"], stats["min"], stats["max"]]
+        rows += [stats["quantiles"][q] for q in sorted(stats["quantiles"])]
+        for row in rows:
+            values = np.asarray(row, dtype="<f8")
+            digest.update(np.where(np.isnan(values), np.nan, values).tobytes())
+    return digest.hexdigest()
+
+
+def check_digest() -> int:
+    result = run_ensemble("random_weights", n=6, draws=300, seed=1, grid=6, jobs=1)
+    got = ensemble_digest(result)
+    if got != PINNED_DIGEST:
+        print(f"streamed ensemble digest {got} != pinned {PINNED_DIGEST}")
+        return 1
+    print(
+        f"streamed ensemble digest OK: n = 6, {result.classes} classes, "
+        f"300 draws past the 64-draw exact buffer"
+    )
+    return 0
 
 
 def assert_same_stats(a, b, context):
@@ -43,7 +81,13 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=5, help="players (default 5)")
     parser.add_argument("--draws", type=int, default=8, help="draws (default 8)")
     parser.add_argument("--grid", type=int, default=6, help="t-grid points")
+    parser.add_argument(
+        "--digest", action="store_true",
+        help="check the pinned 300-draw n = 6 streaming-regime digest instead",
+    )
     args = parser.parse_args(argv)
+    if args.digest:
+        return check_digest()
 
     per_draw = run_ensemble(
         "random_weights", n=args.n, draws=args.draws, seed=1,

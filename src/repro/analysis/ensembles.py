@@ -21,9 +21,10 @@ part across the whole ensemble instead of paying it per draw:
   :func:`~repro.engine.columnar.weighted_stability_windows_multi`) — one
   dense ``(K, P)`` pass whose per-draw rows are **bit-identical** to the
   per-draw weighted kernels, so amortisation never changes a number;
-* blocks fan out over ``jobs`` pool workers in bounded waves and feed
-  :class:`~repro.engine.streaming.StreamingEnsembleStats` aggregators in
-  draw order, so results are identical for any worker count or batch size
+* blocks fan out over ``jobs`` pool workers in bounded waves and feed one
+  :class:`~repro.engine.streaming.StreamingEnsembleStats` aggregator over
+  ``[t_min | t_max]`` rows in draw order (split per endpoint at the end),
+  so results are identical for any worker count or batch size
   and peak aggregation memory is independent of ``K`` (bit-exact dense
   aggregation below ``window_exact_buffer`` draws; exact moments + P²
   quantile sketches beyond — see the streaming module's contract);
@@ -138,8 +139,9 @@ def _ensemble_batch(task: Tuple):
     are answered in one stacked-kernel pass over the shared delta columns
     — row for row bit-identical to the per-draw kernels — and persisted
     (via :meth:`WeightedStore.from_delta`) when a ``save_path`` is set.
-    Returns ``(counts, t_min, t_max, resumed, recomputed)`` with the row
-    blocks stacked in draw order.
+    Returns ``(counts, windows, resumed, recomputed)`` with the row blocks
+    stacked in draw order; ``windows`` rows are ``[t_min | t_max]``, the
+    layout the window aggregator folds.
     """
     name, n, block, params, ts, delta_spec, save_format = task
     with obs.histogram(
@@ -191,11 +193,25 @@ def _ensemble_batch_body(name, n, block, params, ts, delta_spec, save_format):
 
     return (
         np.stack(counts_rows),
-        np.stack(t_min_rows),
-        np.stack(t_max_rows),
+        np.hstack((np.stack(t_min_rows), np.stack(t_max_rows))),
         resumed,
         len(fresh),
     )
+
+
+def _split_stats(stats: Dict[str, object], at: int):
+    """Cut a stats dict over positions ``[a | b]`` into one per half."""
+
+    def half(part: slice) -> Dict[str, object]:
+        return {
+            "mean": stats["mean"][part],
+            "std": stats["std"][part],
+            "min": stats["min"][part],
+            "max": stats["max"][part],
+            "quantiles": {q: row[part] for q, row in stats["quantiles"].items()},
+        }
+
+    return half(slice(None, at)), half(slice(at, None))
 
 
 def run_ensemble(
@@ -309,12 +325,11 @@ def run_ensemble(
         for block in blocks
     ]
 
+    # One aggregator over [t_min | t_max] rows: both window streams share
+    # each row's lane pass, and the result splits per endpoint at the end.
     classes = len(delta)
-    t_min_agg = StreamingEnsembleStats(
-        classes, quantiles=quantiles, exact_buffer=window_exact_buffer
-    )
-    t_max_agg = StreamingEnsembleStats(
-        classes, quantiles=quantiles, exact_buffer=window_exact_buffer
+    window_agg = StreamingEnsembleStats(
+        2 * classes, quantiles=quantiles, exact_buffer=window_exact_buffer
     )
     count_blocks: List = []
     resumed = 0
@@ -322,13 +337,12 @@ def run_ensemble(
 
     def _fold(index: int, block) -> None:
         # run_shards delivers blocks strictly in index (draw) order, so the
-        # streaming aggregators see exactly the serial fold sequence and the
+        # streaming aggregator sees exactly the serial fold sequence and the
         # result stays bit-identical for any jobs value.
         nonlocal resumed, recomputed
-        counts_block, t_min_block, t_max_block, block_resumed, block_recomputed = block
+        counts_block, window_block, block_resumed, block_recomputed = block
         count_blocks.append(counts_block)
-        t_min_agg.update(t_min_block)
-        t_max_agg.update(t_max_block)
+        window_agg.update(window_block)
         resumed += block_resumed
         recomputed += block_recomputed
         if obs.metrics_enabled():
@@ -378,6 +392,7 @@ def run_ensemble(
     count_stats = ensemble_stats(
         counts.astype(np.float64).ravel(), count_indptr, quantiles=quantiles
     )
+    t_min_stats, t_max_stats = _split_stats(window_agg.finalize(), classes)
 
     return EnsembleResult(
         scenario=scenario,
@@ -388,8 +403,8 @@ def run_ensemble(
         ts=list(ts),
         counts=counts,
         count_stats=count_stats,
-        t_min_stats=t_min_agg.finalize(),
-        t_max_stats=t_max_agg.finalize(),
+        t_min_stats=t_min_stats,
+        t_max_stats=t_max_stats,
         artifact_paths=paths,
         params=params,
         resumed=resumed,

@@ -78,7 +78,7 @@ from .shardwork import (
     content_checksum,
     run_shards,
 )
-from .streaming import StreamingEnsembleStats, streaming_available
+from .streaming import StreamingEnsembleStats
 
 __all__ = [
     "DistanceOracle",
@@ -96,7 +96,6 @@ __all__ = [
     "parallel_map",
     "resolve_jobs",
     "run_shards",
-    "streaming_available",
     "ucg_alpha_sets",
     "ucg_engine_available",
     "validate_weight_matrix",

@@ -1,8 +1,8 @@
 """repro.obs — the telemetry spine: metrics, spans, progress, export.
 
-The package is dependency-free (NumPy is optional, used only for P²
-histogram quantiles) and must never import :mod:`repro.engine` at module
-level — the engine imports *us* from its hot paths.
+The package is dependency-free (histogram quantiles use a plain-float P²
+sketch) and never imports :mod:`repro.engine`, :mod:`repro.analysis` or
+:mod:`repro.service` — the engine imports *us* from its hot paths.
 
 Quick tour::
 

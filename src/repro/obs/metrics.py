@@ -1,12 +1,11 @@
 """Process-global metrics registry: labelled counters, gauges, histograms.
 
 Everything in this module is dependency-free on purpose — the telemetry
-spine must load (and stay honest) on minimal installs where NumPy is
-absent.  NumPy is touched in exactly one optional place: histogram
-quantiles past the exact buffer reuse the vectorised P² marker sketch of
-:class:`repro.engine.streaming._P2Sketch` (one 5-marker column per
-quantile), imported lazily at the first flush so no import cycle and no
-hard dependency exist.
+spine must load (and stay honest) on minimal installs, and it imports
+nothing from the engine it instruments.  Histogram quantiles past the
+exact buffer come from a plain-float P² marker bank
+(:class:`_ScalarP2Bank`, a few µs per observation) whose arithmetic
+matches the ensemble aggregator's lane sketch bit for bit.
 
 Design contract, shared with :mod:`repro.obs.tracing`:
 
@@ -282,58 +281,89 @@ class Gauge:
 
 
 class _ScalarP2Bank:
-    """One P² 5-marker sketch per quantile, fed scalar-at-a-time.
+    """One P² 5-marker sketch per quantile, fed one float at a time.
 
-    A thin single-position adapter over the vectorised
-    :class:`repro.engine.streaming._P2Sketch` (imported lazily; requires
-    NumPy).  Raises :class:`RuntimeError` when NumPy is unavailable — the
-    owning histogram then falls back to bucket interpolation.
+    Plain-float arithmetic in exactly the expression order of the lane
+    block that aggregates ensembles
+    (:class:`repro.engine.streaming._P2Lanes`), so a histogram's estimates
+    equal that sketch's bit for bit — ``tests/test_obs.py`` feeds both the
+    same streams — at a few µs per observation.  The two stay separate
+    because their traffic is opposite: thousands of lanes per row there,
+    one scalar at a time here.
     """
 
-    __slots__ = ("_np", "_sketches", "_quantiles", "_init", "_fin")
+    __slots__ = ("_quantiles", "_sketches", "_init", "_fin")
 
     def __init__(self, quantiles: Sequence[float]) -> None:
-        from ..engine.streaming import _P2Sketch, streaming_available
-
-        if not streaming_available():
-            raise RuntimeError("P2 quantile sketches require NumPy")
-        import numpy
-
-        self._np = numpy
         self._quantiles = tuple(quantiles)
-        self._sketches = [_P2Sketch(q, 1) for q in self._quantiles]
+        self._sketches: List[Tuple[List[float], List[float], Tuple]] = []
         self._init: List[float] = []
         self._fin = 0
 
     def add(self, value: float) -> None:
-        np = self._np
         self._fin += 1
         if self._fin <= 5:
             self._init.append(value)
             if self._fin == 5:
-                block = np.sort(np.asarray(self._init, dtype=np.float64))[:, None]
-                cols = np.zeros(1, dtype=np.int64)
-                for sketch in self._sketches:
-                    sketch.init_columns(cols, block)
+                seeded = sorted(self._init)
+                self._sketches = [
+                    (list(seeded), [1.0, 2.0, 3.0, 4.0, 5.0],
+                     (q / 2.0, q, (1.0 + q) / 2.0))
+                    for q in self._quantiles
+                ]
             return
-        values = np.asarray([value], dtype=np.float64)
-        mask = np.ones(1, dtype=bool)
-        fin_counts = np.asarray([self._fin], dtype=np.int64)
-        for sketch in self._sketches:
-            sketch.add(values, mask, fin_counts)
+        fin_minus_one = self._fin - 1.0
+        for heights, npos, dn in self._sketches:
+            _p2_add(heights, npos, dn, value, fin_minus_one)
 
     def estimate(self, q: float) -> float:
         if self._fin == 0:
             return float("nan")
         if self._fin < 5:
             return _exact_quantile(sorted(self._init), q)
-        for quantile, sketch in zip(self._quantiles, self._sketches):
+        for quantile, (heights, _, _) in zip(self._quantiles, self._sketches):
             if quantile == q:
-                return float(sketch.estimate()[0])
+                return heights[2]
         raise ValueError(
             f"quantile {q} is not tracked by this histogram "
             f"(tracked: {self._quantiles})"
         )
+
+
+def _p2_add(h: List[float], n: List[float], dn: Tuple, v: float,
+            fin_minus_one: float) -> None:
+    """One Jain–Chlamtac P² step on markers ``h`` at positions ``n``."""
+    count = (h[0] <= v) + (h[1] <= v) + (h[2] <= v) + (h[3] <= v) + (h[4] <= v)
+    if count == 0:
+        h[0] = v
+    elif count == 5:
+        h[4] = v
+    # Markers right of the cell holding v shift right (marker 4 always).
+    for j in range(min(max(count, 1), 4), 5):
+        n[j] += 1.0
+    for i in (1, 2, 3):
+        ni = n[i]
+        d = (1.0 + fin_minus_one * dn[i - 1]) - ni
+        gap_up = n[i + 1] - ni
+        gap_dn = ni - n[i - 1]
+        if d >= 1.0 and gap_up > 1.0:
+            s = 1.0
+        elif d <= -1.0 and gap_dn > 1.0:
+            s = -1.0
+        else:
+            continue
+        hi, him, hip = h[i], h[i - 1], h[i + 1]
+        parab = hi + s / (gap_up + gap_dn) * (
+            (gap_dn + s) * (hip - hi) / gap_up
+            + (gap_up - s) * (hi - him) / gap_dn
+        )
+        if him < parab < hip:
+            h[i] = parab
+        elif s > 0.0:
+            h[i] = hi + (hip - hi) / gap_up
+        else:
+            h[i] = hi + (him - hi) / gap_dn
+        n[i] = ni + s
 
 
 def _exact_quantile(sorted_values: List[float], q: float) -> float:
@@ -365,7 +395,7 @@ class Histogram:
     __slots__ = (
         "name", "help", "labels", "buckets", "quantiles", "exact_buffer",
         "count", "sum", "min", "max", "_bucket_counts", "_buffer", "_bank",
-        "_bank_failed", "_pending",
+        "_pending",
     )
 
     def __init__(
@@ -393,7 +423,6 @@ class Histogram:
         self._bucket_counts = [0] * (len(self.buckets) + 1)
         self._buffer: Optional[List[float]] = []
         self._bank: Optional[_ScalarP2Bank] = None
-        self._bank_failed = False
         self._pending = self._empty_delta()
 
     def _empty_delta(self) -> dict:
@@ -441,31 +470,20 @@ class Histogram:
         if value > self.max:
             self.max = value
         self._bucket_counts[self._bucket_index(value)] += 1
-        if not math.isfinite(value):
-            return
-        if self._buffer is not None:
-            self._buffer.append(value)
-            if len(self._buffer) > self.exact_buffer:
-                self._flush_buffer()
-            return
-        self._feed_bank(value)
+        if math.isfinite(value):
+            self._feed(value)
 
-    def _flush_buffer(self) -> None:
-        buffered, self._buffer = self._buffer, None
-        for value in buffered:
-            self._feed_bank(value)
-
-    def _feed_bank(self, value: float) -> None:
-        if self._bank is None:
-            if self._bank_failed:
-                return
-            try:
-                self._bank = _ScalarP2Bank(self.quantiles)
-            except RuntimeError:
-                # No NumPy: quantiles degrade to bucket interpolation.
-                self._bank_failed = True
-                return
-        self._bank.add(value)
+    def _feed(self, value: float) -> None:
+        """Route one finite value to the exact buffer or the P² bank."""
+        if self._buffer is None:
+            self._bank.add(value)
+            return
+        self._buffer.append(value)
+        if len(self._buffer) > self.exact_buffer:
+            buffered, self._buffer = self._buffer, None
+            self._bank = _ScalarP2Bank(self.quantiles)
+            for buffered_value in buffered:
+                self._bank.add(buffered_value)
 
     # ---------------------------- queries ----------------------------- #
 
@@ -476,24 +494,7 @@ class Histogram:
             raise ValueError("quantiles live in [0, 1]")
         if self._buffer is not None:
             return _exact_quantile(sorted(self._buffer), q)
-        if self._bank is not None:
-            return self._bank.estimate(q)
-        return self._bucket_quantile(q)
-
-    def _bucket_quantile(self, q: float) -> float:
-        """Linear interpolation inside the bucket holding rank ``q``."""
-        if self.count == 0:
-            return float("nan")
-        target = q * self.count
-        running = 0
-        lower = 0.0 if self.buckets[0] > 0 else self.buckets[0]
-        for bound, tally in zip(self.buckets, self._bucket_counts):
-            if tally and running + tally >= target:
-                frac = (target - running) / tally
-                return lower + (bound - lower) * frac
-            running += tally
-            lower = bound
-        return self.max if math.isfinite(self.max) else lower
+        return self._bank.estimate(q)
 
     # ------------------------- drain / merge -------------------------- #
 
@@ -521,12 +522,7 @@ class Histogram:
             self._bucket_counts[index] += tally
         for value in delta["samples"]:
             if math.isfinite(value):
-                if self._buffer is not None:
-                    self._buffer.append(value)
-                    if len(self._buffer) > self.exact_buffer:
-                        self._flush_buffer()
-                else:
-                    self._feed_bank(value)
+                self._feed(value)
         pending = self._pending
         pending["count"] += delta["count"]
         pending["sum"] += delta["sum"]

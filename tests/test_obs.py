@@ -102,7 +102,6 @@ def test_histogram_exact_quantiles_small_samples():
 
 
 def test_histogram_p2_quantiles_close_to_exact():
-    pytest.importorskip("numpy")
     rng = random.Random(7)
     values = [rng.lognormvariate(0.0, 1.0) for _ in range(4000)]
     # A tiny exact buffer forces the P² sketch path almost immediately.
@@ -114,6 +113,63 @@ def test_histogram_p2_quantiles_close_to_exact():
         exact = _exact_quantile(ordered, q)
         estimate = h.quantile(q)
         assert estimate == pytest.approx(exact, rel=0.15), q
+
+
+def _p2_streams():
+    rng = random.Random(3)
+    return {
+        "lognormal": [rng.lognormvariate(0.0, 1.5) for _ in range(600)],
+        "ties": [float(rng.randrange(4)) for _ in range(400)],
+        "increasing": [i * 0.37 for i in range(300)],
+        "decreasing": [1e3 - i * 1.7 for i in range(300)],
+        "spiky": [rng.choice((1e-6, 1e-3, 1.0, 1e4)) * rng.random()
+                  for _ in range(400)],
+    }
+
+
+@pytest.mark.parametrize("stream", sorted(_p2_streams()))
+def test_scalar_bank_matches_vectorised_sketch(stream):
+    """The histogram bank and the ensemble lane sketch agree bit for bit."""
+    np = pytest.importorskip("numpy")
+    from repro.engine.streaming import StreamingEnsembleStats
+    from repro.obs.metrics import _ScalarP2Bank
+
+    quantiles = (0.25, 0.5, 0.9, 0.99)
+    bank = _ScalarP2Bank(quantiles)
+    lanes = StreamingEnsembleStats(1, quantiles=quantiles, exact_buffer=0)
+    for k, value in enumerate(_p2_streams()[stream], start=1):
+        bank.add(value)
+        lanes.update(np.array([[value]]))
+        if k < 5:
+            continue  # markers seed at the fifth observation
+        vector = lanes._lanes.estimates()[:, 0].tolist()
+        scalar = [bank.estimate(q) for q in quantiles]
+        assert scalar == vector, (stream, k)
+
+
+def test_obs_imports_nothing_it_instruments():
+    """repro.obs stays a leaf: no engine, analysis or service imports."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(obs.__file__).parent
+    forbidden = ("repro.engine", "repro.analysis", "repro.service")
+    for path in sorted(root.rglob("*.py")):
+        package = ["repro"] + list(path.relative_to(root.parent).parent.parts)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                targets = [module] + [f"{module}.{a.name}" for a in node.names]
+            else:
+                continue
+            for target in targets:
+                assert not any(
+                    target == name or target.startswith(name + ".")
+                    for name in forbidden
+                ), (str(path), node.lineno, target)
 
 
 def test_histogram_time_context_manager():
