@@ -7,7 +7,7 @@ Run as a script (no pytest needed)::
 Drives the real CLI in subprocesses (fresh registries, real pool workers,
 real files) and checks the whole export chain:
 
-* an instrumented streamed census build writes a Prometheus exposition
+* an instrumented sharded census build writes a Prometheus exposition
   that *parses* (HELP/TYPE headers, cumulative ``le`` buckets ending in
   ``+Inf == count``) and carries the core series — kernel-seconds
   histograms, cache hit/miss counters, shard tallies;
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
         # ---- compute run: exposition parses, core series present ------- #
         result = run_cli(
             [
-                "census", "--n", str(args.n), "--streamed", "--no-ucg",
+                "census", "--n", str(args.n), "--no-ucg",
                 "--shard-dir", shard_dir, "--metrics-out", prom_path,
             ]
         )
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
         # ---- warm resume run: every shard resumed, counters agree ------ #
         result = run_cli(
             [
-                "census", "--n", str(args.n), "--streamed", "--no-ucg",
+                "census", "--n", str(args.n), "--no-ucg",
                 "--shard-dir", shard_dir, "--metrics-out", json_path,
             ]
         )
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
             )
 
     print(
-        f"OK: n={args.n} streamed census exposition parses, shard counters "
+        f"OK: n={args.n} sharded census exposition parses, shard counters "
         "match the manifest on compute and resume, stats renders snapshots, "
         "and REPRO_METRICS=0 exports nothing"
     )

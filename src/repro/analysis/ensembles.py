@@ -54,7 +54,7 @@ from ..engine.streaming import DEFAULT_EXACT_BUFFER, StreamingEnsembleStats
 from .delta_store import DeltaStore, cached_delta_store
 from .scenarios import build_scenario, default_t_grid
 from .store import LOAD_ERRORS
-from .weighted_store import WeightedStore, weighted_store_available
+from .weighted_store import WeightedStore
 
 #: Quantiles reported by default (quartiles: lower, median, upper).
 DEFAULT_QUANTILES = (0.25, 0.5, 0.75)
@@ -263,12 +263,6 @@ def run_ensemble(
     ``save_dir``, a ``manifest.json`` there tracks block progress and retry
     tallies; ``progress`` receives each manifest snapshot.
     """
-    if not weighted_store_available():
-        raise RuntimeError(
-            "the ensemble runner requires NumPy (it aggregates weighted "
-            "store columns); install numpy or sweep draws one at a time "
-            "with weighted_python_sweep_bcg"
-        )
     params = dict(params or {})
     for reserved in ("name", "n", "seed"):
         params.pop(reserved, None)

@@ -146,30 +146,23 @@ def build_census_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--streamed", action="store_true",
-        help="build by streaming the sharded generation tree (large n)",
-    )
-    parser.add_argument(
         "--shard-dir", metavar="DIR", default=None,
-        help="with --streamed: persist/resume per-shard column chunks here",
+        help="persist/resume the build's per-shard column chunks here",
     )
     parser.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help=(
-            "with --streamed: kill and re-queue any shard attempt that "
-            "runs longer than this"
-        ),
+        help="kill and re-queue any build shard attempt that runs longer than this",
     )
     parser.add_argument(
         "--shard-retries", type=int, default=None, metavar="N",
         help=(
-            "with --streamed: pool attempts per shard beyond the first "
-            "before the in-parent serial fallback (default: 2)"
+            "pool attempts per build shard beyond the first before the "
+            "in-parent serial fallback (default: 2)"
         ),
     )
     parser.add_argument(
         "--progress", action="store_true",
-        help="with --streamed: print shard progress/retry tallies to stderr",
+        help="print the build's shard progress/retry tallies to stderr",
     )
     parser.add_argument(
         "--verify", action="store_true",
@@ -274,15 +267,8 @@ def build_scenarios_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--streamed", action="store_true",
-        help=(
-            "with --save: build the artifact by streaming the sharded "
-            "generation tree instead of holding every class in memory"
-        ),
-    )
-    parser.add_argument(
         "--progress", action="store_true",
-        help="with --streamed: print shard progress/retry tallies to stderr",
+        help="with --save: print the build's shard progress/retry tallies to stderr",
     )
     _add_telemetry_flags(parser)
     return parser
@@ -367,23 +353,17 @@ def _scenarios_run(parser: argparse.ArgumentParser, args) -> int:
         default_t_grid,
         scenario_sweep,
     )
-    from .analysis.weighted_store import WeightedStore, weighted_store_available
+    from .analysis.weighted_store import WeightedStore
 
     if args.list:
         for name in available_scenarios():
             print(name)
         return 0
-    if (args.save or args.load) and not weighted_store_available():
-        print("weighted-store artifacts require NumPy", file=sys.stderr)
-        return 2
     if args.verify and not (args.save or args.load):
         print("--verify audits an artifact; add --save or --load", file=sys.stderr)
         return 2
-    if args.streamed and not args.save:
-        print("--streamed builds an artifact; add --save", file=sys.stderr)
-        return 2
-    if args.progress and not args.streamed:
-        print("--progress requires --streamed", file=sys.stderr)
+    if args.progress and not args.save:
+        print("--progress reports an artifact build; add --save", file=sys.stderr)
         return 2
 
     if args.load is not None:
@@ -466,7 +446,6 @@ def _scenarios_run(parser: argparse.ArgumentParser, args) -> int:
             scenario,
             jobs=args.jobs,
             include_ucg=args.ucg,
-            streamed=args.streamed,
             progress=obs.ProgressReporter() if args.progress else None,
         )
         print(
@@ -600,11 +579,7 @@ def _ensemble_run(parser: argparse.ArgumentParser, args) -> int:
     from .analysis.ensembles import run_ensemble
     from .analysis.report import format_table
     from .analysis.scenarios import available_scenarios
-    from .analysis.weighted_store import weighted_store_available
 
-    if not weighted_store_available():
-        print("the ensemble runner requires NumPy", file=sys.stderr)
-        return 2
     if args.scenario not in available_scenarios():
         print(
             f"unknown scenario {args.scenario!r}; available: "
@@ -692,40 +667,27 @@ def census_main(argv: List[str]) -> int:
 def _census_run(parser: argparse.ArgumentParser, args) -> int:
     from .analysis.figure_series import census_figure_series
     from .analysis.report import format_figure, format_store_summary
-    from .analysis.store import CensusStore, store_available
+    from .analysis.store import CensusStore
     from .analysis.sweeps import log_spaced_alphas
 
-    if not store_available():
-        print("the census store requires NumPy", file=sys.stderr)
-        return 2
     if (args.n is None) == (args.load is None):
         parser.print_usage(sys.stderr)
         print("exactly one of --n and --load is required", file=sys.stderr)
         return 2
-    for flag, value in (
-        ("--shard-dir", args.shard_dir),
-        ("--shard-timeout", args.shard_timeout),
-        ("--shard-retries", args.shard_retries),
-        ("--progress", args.progress or None),
-    ):
-        if value is not None and not args.streamed:
-            print(f"{flag} requires --streamed", file=sys.stderr)
-            return 2
 
     if args.load is not None:
         return _census_query(args)
     else:
-        build = CensusStore.build_streamed if args.streamed else CensusStore.build
-        kwargs = {"include_ucg": args.ucg, "jobs": args.jobs}
-        if args.shard_dir:
-            kwargs["shard_dir"] = args.shard_dir
-        if args.streamed:
-            kwargs["timeout"] = args.shard_timeout
-            kwargs["max_retries"] = args.shard_retries
-            if args.progress:
-                kwargs["progress"] = obs.ProgressReporter()
         try:
-            store = build(args.n, **kwargs)
+            store = CensusStore.build(
+                args.n,
+                include_ucg=args.ucg,
+                jobs=args.jobs,
+                shard_dir=args.shard_dir,
+                timeout=args.shard_timeout,
+                max_retries=args.shard_retries,
+                progress=obs.ProgressReporter() if args.progress else None,
+            )
         except (OSError, ValueError) as error:
             print(f"cannot build the n = {args.n} census: {error}", file=sys.stderr)
             return 2
@@ -746,11 +708,8 @@ def _census_run(parser: argparse.ArgumentParser, args) -> int:
     if args.save_deltas is not None:
         from .analysis.delta_store import DeltaStore
 
-        build_deltas = (
-            DeltaStore.build_streamed if args.streamed else DeltaStore.build
-        )
         try:
-            deltas = build_deltas(store.n, jobs=args.jobs)
+            deltas = DeltaStore.build(store.n, jobs=args.jobs)
             written = deltas.save(args.save_deltas)
         except (OSError, ValueError) as error:
             print(f"cannot save {args.save_deltas}: {error}", file=sys.stderr)
@@ -851,11 +810,8 @@ def _census_query(args) -> int:
     if args.save_deltas is not None:
         from .analysis.delta_store import DeltaStore
 
-        build_deltas = (
-            DeltaStore.build_streamed if args.streamed else DeltaStore.build
-        )
         try:
-            deltas = build_deltas(summary["n"], jobs=args.jobs)
+            deltas = DeltaStore.build(summary["n"], jobs=args.jobs)
             written = deltas.save(args.save_deltas)
         except (OSError, ValueError) as error:
             print(f"cannot save {args.save_deltas}: {error}", file=sys.stderr)

@@ -52,8 +52,8 @@ both, so the core/analysis/experiments layers never re-derive them ad hoc:
     pool broke).
 
 :func:`run_shards`
-    The fault-tolerant shard work-queue coordinator behind every
-    ``build_streamed(shard_dir=...)`` and the ensemble block runner:
+    The fault-tolerant shard work-queue coordinator behind every store
+    ``build(shard_dir=...)`` and the ensemble block runner:
     individual futures with per-shard timeouts, bounded retries with
     exponential backoff and a serial fallback, checksummed + config-
     fingerprinted shard resume, and a heartbeat progress manifest (see

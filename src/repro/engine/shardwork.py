@@ -1,7 +1,8 @@
 """Fault-tolerant shard work queue: retries, timeouts, checksummed resume.
 
-Every sharded build in the library — census, weighted and delta
-``build_streamed``, and the ensemble block runner — has the same shape:
+Every sharded build in the library — the census, weighted and delta
+store ``build``, the streamed record census and the ensemble block
+runner — has the same shape:
 a list of independent shard payloads, a picklable worker, optional
 per-shard persistence so an interrupted build resumes, and a merge step
 that needs the results back in index order.  Before this module each

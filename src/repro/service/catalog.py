@@ -18,7 +18,6 @@ no column data is loaded until a query actually asks for the artifact.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass
@@ -28,8 +27,9 @@ from .. import obs
 from ..analysis import delta_store as _delta_store
 from ..analysis import store as _store
 from ..analysis import weighted_store as _weighted_store
+from ..analysis.artifact import peek_artifact
 from ..analysis.delta_store import cached_delta_store
-from ..analysis.store import LOAD_ERRORS, cached_store
+from ..analysis.store import cached_store
 from ..analysis.weighted_store import cached_weighted_store
 
 __all__ = ["ArtifactCatalog", "ArtifactInfo", "KINDS"]
@@ -72,32 +72,11 @@ def _peek_artifact(path: str) -> Optional[Tuple[str, str, int]]:
     directory may legitimately hold manifests, metrics dumps or shard
     spools next to the artifacts.
     """
-    try:
-        if os.path.isdir(path):
-            meta_path = os.path.join(path, "meta.json")
-            if not os.path.isfile(meta_path):
-                return None
-            with open(meta_path, encoding="utf-8") as handle:
-                meta = json.load(handle)
-            kind = _SCHEMA_KINDS.get(meta.get("schema"))
-            if kind is None or "n" not in meta:
-                return None
-            return kind, "dir", int(meta["n"])
-        if not str(path).endswith(".npz"):
-            return None
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - minimal installs
-            return None
-        with np.load(path, allow_pickle=False) as data:
-            if "schema" not in data or "n" not in data:
-                return None
-            kind = _SCHEMA_KINDS.get(str(data["schema"]))
-            if kind is None:
-                return None
-            return kind, "npz", int(data["n"])
-    except LOAD_ERRORS:
+    peeked = peek_artifact(path)
+    if peeked is None or peeked[0] not in _SCHEMA_KINDS:
         return None
+    schema, format, n = peeked
+    return _SCHEMA_KINDS[schema], format, n
 
 
 class ArtifactCatalog:
@@ -136,6 +115,8 @@ class ArtifactCatalog:
                     )
                 found: Dict[str, ArtifactInfo] = {}
                 for name in sorted(os.listdir(self.root)):
+                    if name.startswith("."):
+                        continue  # hidden: in-flight publishes, dotfiles
                     path = os.path.join(self.root, name)
                     peeked = _peek_artifact(path)
                     if peeked is None:

@@ -172,7 +172,22 @@ class ArtifactServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except HTTPError as error:
+                    # The body cannot be read, so the stream cannot be
+                    # resynchronised: answer, then close the connection.
+                    obs.counter(
+                        "repro_http_requests_total",
+                        "HTTP requests served",
+                        path=_UNROUTED,
+                        status=str(error.status),
+                    ).inc()
+                    await self._write_response(
+                        writer, error.status, _error_body(error),
+                        "application/json", keep_alive=False,
+                    )
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -216,7 +231,10 @@ class ArtifactServer:
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            raise HTTPError(400, f"invalid Content-Length {declared[:40]!r}")
+        length = int(declared)
         if length > MAX_BODY:
             raise HTTPError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -261,7 +279,7 @@ class ArtifactServer:
             )
         except HTTPError as error:
             status = error.status
-            payload = _json_bytes({"error": str(error), "status": status})
+            payload = _error_body(error)
             content_type = "application/json"
         except Exception as error:  # noqa: BLE001 - served as 500
             status = 500
@@ -427,6 +445,10 @@ class ArtifactServer:
 
 def _json_bytes(payload) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def _error_body(error: HTTPError) -> bytes:
+    return _json_bytes({"error": str(error), "status": error.status})
 
 
 def _parse_json(body: bytes) -> Dict[str, object]:

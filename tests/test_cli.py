@@ -64,7 +64,7 @@ class TestCensusSubcommand:
         assert "average_poa" in output
 
     def test_streamed_build_without_ucg(self, capsys):
-        assert main(["census", "--n", "4", "--streamed", "--no-ucg", "--grid", "3"]) == 0
+        assert main(["census", "--n", "4", "--no-ucg", "--grid", "3"]) == 0
         output = capsys.readouterr().out
         assert "ucg = no" in output
         assert "BCG only" in output
@@ -80,21 +80,20 @@ class TestCensusSubcommand:
         assert main(["census", "--load", path, "--mmap"]) == 0
         assert "census store: n = 4" in capsys.readouterr().out
 
-    def test_shard_dir_requires_streamed(self, capsys):
-        assert main(["census", "--n", "4", "--shard-dir", "/tmp/x"]) == 2
-        assert "--shard-dir requires --streamed" in capsys.readouterr().err
-
-    def test_shard_knobs_require_streamed(self, capsys):
-        for extra in (
-            ["--shard-timeout", "5"],
-            ["--shard-retries", "1"],
-            ["--progress"],
-        ):
-            assert main(["census", "--n", "4"] + extra) == 2
-            assert "requires --streamed" in capsys.readouterr().err
+    def test_shard_flags_apply_to_every_build(self, capsys, tmp_path):
+        """There is one build, so the shard knobs need no extra flag."""
+        shard_dir = tmp_path / "shards"
+        argv = [
+            "census", "--n", "4", "--no-ucg", "--shard-dir", str(shard_dir),
+            "--shard-timeout", "60", "--shard-retries", "1",
+        ]
+        assert main(argv) == 0
+        assert "census store: n = 4" in capsys.readouterr().out
+        assert (shard_dir / "manifest.json").exists()
+        assert sorted(shard_dir.glob("shard_*.npz"))
 
     def test_verify_reports_ok_on_a_healthy_build(self, capsys):
-        assert main(["census", "--n", "4", "--streamed", "--verify"]) == 0
+        assert main(["census", "--n", "4", "--verify"]) == 0
         output = capsys.readouterr().out
         assert "verify built in-process (n = 4): ok" in output
 
@@ -119,7 +118,7 @@ class TestCensusSubcommand:
         assert "FAILED" in captured.err
 
     def test_progress_flag_streams_manifest_lines(self, capsys):
-        assert main(["census", "--n", "4", "--streamed", "--progress"]) == 0
+        assert main(["census", "--n", "4", "--progress"]) == 0
         captured = capsys.readouterr()
         assert "[shard]" in captured.err
         assert "done" in captured.err and "rate" in captured.err
@@ -348,18 +347,18 @@ class TestTelemetryCLI:
         assert main(["stats", str(path)]) == 2
         assert "not a repro telemetry snapshot" in capsys.readouterr().err
 
-    def test_scenarios_progress_requires_streamed(self, capsys):
+    def test_scenarios_progress_requires_save(self, capsys):
         assert main(
             ["scenarios", "--name", "random_weights", "--progress"]
         ) == 2
-        assert "--progress requires --streamed" in capsys.readouterr().err
+        assert "add --save" in capsys.readouterr().err
 
     def test_scenarios_streamed_save_with_progress(self, capsys, tmp_path):
         path = str(tmp_path / "ws.npz")
         assert main(
             [
                 "scenarios", "--name", "random_weights", "--n", "4",
-                "--save", path, "--streamed", "--progress",
+                "--save", path, "--progress",
             ]
         ) == 0
         captured = capsys.readouterr()
@@ -372,7 +371,7 @@ class TestTelemetryCLI:
         shard_dir = str(tmp_path / "shards")
         path = str(tmp_path / "census.json")
         argv = [
-            "census", "--n", "5", "--streamed", "--no-ucg",
+            "census", "--n", "5", "--no-ucg",
             "--shard-dir", shard_dir, "--metrics-out", path,
         ]
         assert main(argv) == 0

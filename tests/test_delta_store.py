@@ -183,16 +183,24 @@ class TestPersistence:
 
 class TestStreamedBuild:
     def test_streamed_equals_build(self):
-        direct = DeltaStore.build(5)
-        streamed = DeltaStore.build_streamed(5)
+        """The one (sharded) build equals one batch over the class list."""
+        from repro.engine.batch import batch_delta_columns
+        from repro.engine.columnar import pack_certificates
+        from repro.graphs import enumerate_connected_graphs
+
+        graphs = enumerate_connected_graphs(5)
+        direct = batch_delta_columns(graphs)
+        direct["cert_words"] = pack_certificates(
+            [graph.adjacency_bitstring() for graph in graphs], 5
+        )
+        streamed = DeltaStore.build(5)
         for column in (
             "num_edges", "dist_total", "cert_words",
             "rem_delta", "rem_pay", "rem_other", "rem_indptr",
             "add_s_u", "add_s_v", "add_u", "add_v", "add_indptr",
         ):
-            assert np.array_equal(
-                getattr(streamed, column), getattr(direct, column)
-            ), column
+            assert np.array_equal(getattr(streamed, column), direct[column]), column
+            assert getattr(streamed, column).dtype == direct[column].dtype, column
 
     def test_shard_resume_recomputes_corrupt_shard(self, tmp_path):
         shard_dir = str(tmp_path / "shards")
@@ -253,7 +261,7 @@ class TestCachedDeltaStore:
 
     def test_shares_budget_with_census_cache(self):
         """Delta entries live in the same LRU as cached_store entries."""
-        from repro.analysis import store as store_module
+        from repro.analysis import artifact as store_module
 
         cached_delta_store(n=3)
         assert any(

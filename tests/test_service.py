@@ -456,6 +456,56 @@ class TestHTTPServer:
         assert wrong_method.value.code == 405
 
 
+class TestRequestLength:
+    """A bad or oversized ``Content-Length`` is answered, not dropped."""
+
+    @pytest.fixture(scope="class")
+    def server(self, artifact_dir):
+        clear_store_cache()
+        server, thread = start_in_thread(
+            api=QueryAPI(ArtifactCatalog(root=str(artifact_dir)))
+        )
+        yield server
+        server.shutdown()
+        thread.join(timeout=10)
+        clear_store_cache()
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            ("abc", 400),
+            ("-5", 400),
+            ("+5", 400),
+            ("1e3", 400),
+            ("", 400),
+            ("99999999", 413),
+        ],
+    )
+    def test_length_errors_get_a_status(self, server, length, status):
+        import socket
+
+        request = (
+            "POST /v1/query/grid HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(request.encode("latin-1"))
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _sep, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ")[:2] == [b"HTTP/1.1", str(status).encode()]
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == status
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{server.port}/healthz"
+        ) as response:
+            assert json.loads(response.read())["status"] == "ok"
+
+
 class TestGridValidation:
     """``/v1/query/grid`` answers bad or oversized α grids with 400/413."""
 

@@ -102,12 +102,17 @@ class TestBuildPaths:
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_streamed_equals_build(self, n):
+        """The one (sharded) build equals the converted record census."""
         assert_columns_equal(
-            CensusStore.build(n), CensusStore.build_streamed(n)
+            CensusStore.build(n),
+            CensusStore.from_census(EquilibriumCensus.build(n)),
         )
+        assert CensusStore.build_streamed.__func__ is CensusStore.build.__func__
 
     def test_streamed_any_shard_level_and_jobs(self):
-        reference = CensusStore.build(6, include_ucg=False)
+        reference = CensusStore.from_census(
+            EquilibriumCensus.build(6, include_ucg=False)
+        )
         for shard_level in (0, 3, 6):
             assert_columns_equal(
                 reference,
@@ -209,7 +214,7 @@ class TestStoreCache:
     def test_load_options_are_part_of_the_key(self, tmp_path):
         """A resident load and a mapped load of one artifact must not
         collide — a cache hit used to hand back whichever came first."""
-        from repro.analysis import store as store_module
+        from repro.analysis import artifact as store_module
 
         path = CensusStore.build(4, include_ucg=False).save(
             str(tmp_path / "census4_dir"), format="dir"
@@ -248,7 +253,7 @@ class TestStoreCache:
         clear_store_cache()
 
     def test_cache_is_lru_bounded(self, tmp_path, monkeypatch):
-        from repro.analysis import store as store_module
+        from repro.analysis import artifact as store_module
 
         path = CensusStore.build(3, include_ucg=False).save(
             str(tmp_path / "census3.npz")
@@ -267,7 +272,7 @@ class TestStoreCache:
         clear_store_cache()
 
     def test_clear_store_cache_empties(self):
-        from repro.analysis import store as store_module
+        from repro.analysis import artifact as store_module
 
         clear_store_cache()
         cached_store(4)

@@ -144,9 +144,20 @@ class TestBuildPaths:
         )
 
     def test_streamed_equals_build(self, store6, scenario6):
+        """The one (sharded) build equals the delta-store materialisation
+        and holds the in-memory sweep's class list."""
+        from repro.analysis.delta_store import DeltaStore
+
         assert_stores_equal(
-            store6, WeightedStore.from_scenario(scenario6, streamed=True)
+            store6,
+            WeightedStore.from_delta(
+                DeltaStore.build(6),
+                scenario6.model,
+                scenario_params=dict(scenario6.params),
+            ),
         )
+        sweep = weighted_census(6, scenario6.model, [1.0])
+        assert store6.graphs() == list(sweep.graphs)
 
     def test_streamed_shard_dir_resume(self, tmp_path, scenario6, store6):
         shard_dir = str(tmp_path / "shards")
