@@ -56,7 +56,6 @@ from .weighted import (
     WeightedSweepResult,
     weighted_bcg_grid_mask,
     weighted_census,
-    weighted_python_sweep_bcg,
     weighted_sweep,
     weighted_t_windows,
     weighted_ucg_grid_mask,
@@ -125,7 +124,6 @@ __all__ = [
     "WeightedSweepResult",
     "weighted_bcg_grid_mask",
     "weighted_census",
-    "weighted_python_sweep_bcg",
     "weighted_sweep",
     "weighted_t_windows",
     "weighted_ucg_grid_mask",

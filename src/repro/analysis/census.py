@@ -19,7 +19,7 @@ graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.anarchy import price_of_anarchy
 from ..core.stability_intervals import AlphaIntervalSet, PairwiseStabilityProfile
@@ -29,19 +29,9 @@ from ..engine import (
     get_default_oracle,
     parallel_map,
     resolve_jobs,
-    run_shards,
     ucg_alpha_sets,
 )
-from ..graphs import (
-    Graph,
-    canonical_graph,
-    class_sort_key,
-    enumerate_connected_graphs,
-    enumerate_graphs,
-    is_connected,
-    iter_graphs_from,
-)
-from ..graphs.isomorphism import clear_canonical_record
+from ..graphs import Graph, enumerate_connected_graphs
 
 
 @dataclass
@@ -110,49 +100,10 @@ class EquilibriumCensus:
         ]
         return cls(n=n, records=records, include_ucg=include_ucg)
 
-    @classmethod
-    def build_streamed(
-        cls,
-        n: int,
-        include_ucg: bool = True,
-        jobs: Optional[int] = None,
-        shard_level: Optional[int] = None,
-        batch_size: int = 512,
-    ) -> "EquilibriumCensus":
-        """Build the census by streaming the canonical-augmentation tree.
-
-        Instead of materialising ``enumerate_connected_graphs(n)`` up front
-        (and, with ``jobs > 1``, pickling every graph through the pool), the
-        generation tree is **sharded**: its level-``shard_level`` class
-        representatives become roots, each worker re-generates the subtrees
-        below its chunk of roots in-process (subtrees are disjoint and
-        jointly exhaustive, so there is no cross-worker deduplication), and
-        analyses graphs in bounded batches as they stream past.  Only the
-        per-graph summaries travel back through the pool.
-
-        The result is element-for-element identical to :meth:`build` — same
-        canonical representatives in the same deterministic order, with
-        bit-identical profiles — which the test suite asserts.  This is the
-        path that makes the ``n = 9`` BCG census tractable.
-        """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        workers = resolve_jobs(jobs)
-        if shard_level is None:
-            shard_level = max(0, min(6, n - 2))
-        shard_level = max(0, min(shard_level, n))
-        roots = enumerate_graphs(shard_level)
-        chunks = chunk_evenly(roots, max(1, workers * 4))
-        tasks = [(chunk, n, include_ucg, batch_size) for chunk in chunks]
-        # run_shards gives the record path the same crash-resilient fan-out
-        # as the columnar stores (no persistence: GraphRecord parts are not
-        # column dicts, and the store path owns the durable artifacts).
-        report = run_shards(_stream_chunk, tasks, jobs=jobs)
-        records = [
-            record for chunk_records in report.parts for record in chunk_records
-        ]
-        records.sort(key=lambda record: class_sort_key(record.graph))
-        return cls(n=n, records=records, include_ucg=include_ucg)
+    #: The record census has one build; the name stays bound so callers and
+    #: layer timers that look ``build_streamed`` up still find it.  The
+    #: sharded streaming build is :meth:`repro.analysis.store.CensusStore.build`.
+    build_streamed = build
 
     # ------------------------------------------------------------------ #
     # Equilibrium sets at a given link cost
@@ -256,40 +207,6 @@ def _analyse_chunk(task: Tuple[List[Graph], bool]) -> List[GraphRecord]:
     """Deviation analysis for a chunk of graphs (module-level for the pool)."""
     graphs, include_ucg = task
     return _make_records(graphs, include_ucg, get_default_oracle())
-
-
-def _stream_chunk(task: Tuple[List[Graph], int, bool, int]) -> List[GraphRecord]:
-    """Generate-and-analyse one shard of the generation tree (pool worker).
-
-    Walks the canonical-augmentation subtrees below the chunk's roots,
-    canonicalises the connected level-``n`` graphs as they stream past (the
-    canonical search also yields the orbits the per-graph probe paths can
-    prune on), and analyses them in bounded batches so the worker never
-    materialises its shard.
-    """
-    roots, n, include_ucg, batch_size = task
-    oracle = get_default_oracle()
-    records: List[GraphRecord] = []
-    pending: List[Graph] = []
-
-    def flush() -> None:
-        records.extend(_make_records(pending, include_ucg, oracle))
-        for graph in pending:
-            # The memoised canonical record has served its purpose; census
-            # records live long, so don't pin a quarter-million of them.
-            clear_canonical_record(graph)
-        pending.clear()
-
-    for root in roots:
-        for graph in iter_graphs_from(root, n):
-            if not is_connected(graph):
-                continue
-            pending.append(canonical_graph(graph))
-            if len(pending) >= batch_size:
-                flush()
-    if pending:
-        flush()
-    return records
 
 
 _CENSUS_CACHE: Dict[tuple, EquilibriumCensus] = {}

@@ -42,10 +42,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # NumPy backs the stacked kernels and the streaming aggregation.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from .. import obs
 from ..engine import run_shards

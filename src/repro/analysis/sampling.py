@@ -20,9 +20,9 @@ from ..core.stability_intervals import PairwiseStabilityProfile
 from ..engine import (
     DistanceOracle,
     batch_stability_deltas,
-    numpy_available,
     ucg_alpha_sets,
 )
+from ..engine.columnar import bcg_interval_mask, bcg_stability_intervals
 from ..graphs import Graph, canonical_form
 from .sweeps import aligned_link_costs, map_over_grid
 
@@ -51,7 +51,7 @@ def sampled_bcg_profiles(
 
     One call to :func:`repro.engine.batch_stability_deltas` answers every
     single-link deviation probe of every sampled graph (batched boolean
-    matmuls where NumPy is available), instead of a per-graph BFS loop.
+    matmuls), instead of a per-graph BFS loop.
     """
     results = batch_stability_deltas(list(graphs), oracle=oracle)
     return [
@@ -70,8 +70,7 @@ def sampled_bcg_columns(
     Routes the sampled graphs through
     :func:`repro.analysis.store.bcg_alpha_columns`, so dynamics-sampled runs
     get the same vectorised whole-α-grid queries as the exhaustive census
-    store; returns ``(rem_min, add_lo, add_hi, add_indptr)``.  Requires
-    NumPy (like every columnar consumer).
+    store; returns ``(rem_min, add_lo, add_hi, add_indptr)``.
     """
     from .store import bcg_alpha_columns
 
@@ -86,18 +85,9 @@ def sampled_stable_mask(
     """``bool[n_graphs, n_alphas]`` pairwise-stability mask of sampled graphs.
 
     Vectorised through the exact per-graph stability intervals of
-    :func:`repro.engine.columnar.bcg_stability_intervals` when NumPy is
-    importable (bit-identical to the per-graph Definition 3 check); a
-    per-profile Python loop otherwise.
+    :func:`repro.engine.columnar.bcg_stability_intervals` (bit-identical to
+    the per-graph Definition 3 check).
     """
-    if not numpy_available():
-        profiles = sampled_bcg_profiles(graphs, oracle=oracle)
-        return [
-            [profile.is_stable_at(alpha) for alpha in alphas]
-            for profile in profiles
-        ]
-    from ..engine.columnar import bcg_interval_mask, bcg_stability_intervals
-
     columns = sampled_bcg_columns(graphs, oracle=oracle)
     return bcg_interval_mask(*bcg_stability_intervals(*columns), alphas)
 

@@ -3,7 +3,7 @@
 These are the formulas the experiments compare against: social costs of the
 canonical topologies, the Lemma 6 stability window of the cycle, the Moore
 bound, and the asymptotic price-of-anarchy bound shapes of Propositions 3
-and 4.  Everything is a plain function of ``n`` and ``α`` so the benchmarks
+and 4.  Everything is a plain function of ``n`` and ``α`` so the experiments
 can print "paper formula vs measured" side by side.
 """
 

@@ -28,22 +28,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-try:  # NumPy ships with the dev toolchain but must stay optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as np
 
 from .. import obs
 from ..graphs.graph import Graph
-
-
-def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised only on minimal installs
-        raise RuntimeError(
-            "the columnar census kernels require NumPy; install numpy or use "
-            "the per-record EquilibriumCensus path instead"
-        )
-    return _np
 
 
 # --------------------------------------------------------------------------- #
@@ -57,7 +45,6 @@ def segment_any(flags, indptr):
     ``flags[indptr[i]:indptr[i+1]]`` is segment ``i``; the result has one
     boolean per segment.
     """
-    np = _require_numpy()
     counts = np.diff(indptr)
     out = np.zeros(counts.shape[0], dtype=bool)
     if flags.shape[0] == 0 or counts.shape[0] == 0:
@@ -73,7 +60,6 @@ def segment_any(flags, indptr):
 
 
 def _segment_reduce(values, indptr, ufunc, empty: float):
-    np = _require_numpy()
     counts = np.diff(indptr)
     out = np.full(counts.shape[0], empty, dtype=np.float64)
     if values.shape[0] == 0 or counts.shape[0] == 0:
@@ -87,13 +73,11 @@ def _segment_reduce(values, indptr, ufunc, empty: float):
 
 def segment_min(values, indptr, empty: float = float("inf")):
     """MIN-reduce a flat value array over CSR segments (empty → ``empty``)."""
-    np = _require_numpy()
     return _segment_reduce(values, indptr, np.minimum, empty)
 
 
 def segment_max(values, indptr, empty: float = float("-inf")):
     """MAX-reduce a flat value array over CSR segments (empty → ``empty``)."""
-    np = _require_numpy()
     return _segment_reduce(values, indptr, np.maximum, empty)
 
 
@@ -105,7 +89,6 @@ def csr_invariant_errors(name: str, values_len: int, indptr, classes: int) -> Li
     flat value length — everything the segmented kernels assume without
     checking.  Used by the stores' ``verify()`` audit.
     """
-    np = _require_numpy()
     indptr = np.asarray(indptr)
     errors: List[str] = []
     if indptr.ndim != 1 or indptr.shape[0] != classes + 1:
@@ -130,7 +113,6 @@ def gather_segments(values, indptr, order):
     Segment ``order[j]`` of the input becomes segment ``j`` of the output —
     the ragged-column counterpart of ``dense[order]``.
     """
-    np = _require_numpy()
     counts = np.diff(indptr)
     new_counts = counts[order]
     new_indptr = np.zeros(new_counts.shape[0] + 1, dtype=np.int64)
@@ -147,7 +129,6 @@ def gather_segments(values, indptr, order):
 
 def concat_csr(columns: Sequence[Tuple]) -> Tuple:
     """Concatenate ``(values, indptr)`` CSR columns, rebasing the offsets."""
-    np = _require_numpy()
     if not columns:
         return np.zeros(0), np.zeros(1, dtype=np.int64)
     values = np.concatenate([v for v, _ in columns])
@@ -195,7 +176,6 @@ def bcg_stable_mask(rem_min, add_lo, add_hi, add_indptr, alphas):
     a class is stable at ``α`` iff no removal increase is below ``α - tol``
     and no non-edge has ``max > α + tol`` with ``min >= α - tol``.
     """
-    np = _require_numpy()
     rem_min = np.asarray(rem_min, dtype=np.float64)
     lo = np.asarray(add_lo).astype(np.float64, copy=False)
     hi = np.asarray(add_hi).astype(np.float64, copy=False)
@@ -223,7 +203,6 @@ def _float_keys(x):
     keys is bisection over floats (``-0.0`` and ``+0.0`` are adjacent
     keys; every comparison treats them alike).
     """
-    np = _np
     bits = x.view(np.uint64)
     sign = np.uint64(1 << 63)
     return np.where(bits & sign, ~bits, bits | sign)
@@ -231,7 +210,6 @@ def _float_keys(x):
 
 def _key_floats(keys):
     """Inverse of :func:`_float_keys`."""
-    np = _np
     sign = np.uint64(1 << 63)
     return np.where(keys & sign, keys ^ sign, ~keys).view(np.float64)
 
@@ -247,7 +225,6 @@ def _largest_alpha(values, shift: float, strict: bool):
     collapses) are bisected over :func:`_float_keys`.  Lanes where no
     ``α``, not even ``-inf``, qualifies come back ``NaN``.
     """
-    np = _np
     v = np.asarray(values, dtype=np.float64)
     out = np.full(v.shape, np.nan)
 
@@ -322,7 +299,6 @@ def bcg_stability_intervals(rem_min, add_lo, add_hi, add_indptr):
 
     Returns ``(A, R)`` as float64 arrays of one entry per class.
     """
-    np = _require_numpy()
     R = _largest_alpha(rem_min, -BCG_TOL, strict=False)
     indptr = np.asarray(add_indptr, dtype=np.int64)
     A = np.full(indptr.shape[0] - 1, np.nan)
@@ -356,7 +332,6 @@ def bcg_interval_mask(A, R, alphas):
     each grid column is contiguous (and the comparisons run along the long
     class axis).
     """
-    np = _require_numpy()
     grid = np.array([float(a) for a in alphas], dtype=np.float64)[:, None]
     out = grid <= np.asarray(A, dtype=np.float64)[None, :]
     out |= grid > np.asarray(R, dtype=np.float64)[None, :]
@@ -372,7 +347,6 @@ def ucg_nash_mask(iv_lo, iv_hi, iv_indptr, alphas):
     folded into the *endpoint* side of each comparison exactly as
     :meth:`AlphaInterval.contains` does.
     """
-    np = _require_numpy()
     lo = np.asarray(iv_lo, dtype=np.float64) - UCG_TOL
     hi = np.asarray(iv_hi, dtype=np.float64) + UCG_TOL
     alpha_list = [float(a) for a in alphas]
@@ -391,7 +365,6 @@ def ucg_interval_columns(interval_sets) -> Tuple:
     layout :class:`~repro.analysis.store.CensusStore` persists, so a store
     round-trip reproduces every endpoint bit-for-bit.
     """
-    np = _require_numpy()
     lo: List[float] = []
     hi: List[float] = []
     indptr = np.zeros(len(interval_sets) + 1, dtype=np.int64)
@@ -416,7 +389,6 @@ def weighted_ucg_windows(iv_lo, iv_hi, iv_indptr) -> Tuple:
     window emptiness is a plain comparison downstream.  Works unchanged for
     scalar α-columns (the scalar game is the ``w ≡ 1`` special case).
     """
-    np = _require_numpy()
     lo = np.asarray(iv_lo).astype(np.float64, copy=False)
     hi = np.asarray(iv_hi).astype(np.float64, copy=False)
     return (
@@ -435,7 +407,6 @@ def _check_weight_columns(*weight_arrays) -> None:
     :func:`repro.engine.batch.batch_weighted_columns`, but persisted
     artifacts and hand-built columns enter here directly).
     """
-    np = _require_numpy()
     for weights in weight_arrays:
         weights = np.asarray(weights)
         if weights.size and not bool(
@@ -471,7 +442,6 @@ def weighted_bcg_stable_mask(
 
     Returns ``bool[n_classes, n_ts]``.
     """
-    np = _require_numpy()
     _check_weight_columns(rem_w, add_w_u, add_w_v)
     rem_w = np.asarray(rem_w).astype(np.float64, copy=False)
     rem_delta = np.asarray(rem_delta).astype(np.float64, copy=False)
@@ -507,7 +477,6 @@ def weighted_stability_windows(
     :func:`stability_windows`; per class it equals
     :meth:`WeightedStabilityProfile.stability_t_interval`.
     """
-    np = _require_numpy()
     _check_weight_columns(rem_w, add_w_u, add_w_v)
     rem_w = np.asarray(rem_w).astype(np.float64, copy=False)
     rem_delta = np.asarray(rem_delta).astype(np.float64, copy=False)
@@ -529,7 +498,6 @@ def _segment_any_stack(flags, indptr):
     is ``flags[:, indptr[i]:indptr[i+1]]`` and the result is
     ``bool[K, n_segments]`` (empty segments → ``False``).
     """
-    np = _require_numpy()
     counts = np.diff(indptr)
     rows = flags.shape[0]
     out = np.zeros((rows, counts.shape[0]), dtype=bool)
@@ -542,7 +510,6 @@ def _segment_any_stack(flags, indptr):
 
 
 def _segment_reduce_stack(values, indptr, ufunc, empty: float):
-    np = _require_numpy()
     counts = np.diff(indptr)
     rows = values.shape[0]
     out = np.full((rows, counts.shape[0]), empty, dtype=np.float64)
@@ -569,7 +536,6 @@ def stacked_weight_columns(weight_matrices, rem_pay, rem_other, add_u, add_v):
     would emit for each draw, gathered in one fancy-indexing pass instead of
     K per-draw Python assembly loops.
     """
-    np = _require_numpy()
     stack = np.asarray(weight_matrices, dtype=np.float64)
     if stack.ndim == 2:
         stack = stack[None, :, :]
@@ -607,7 +573,6 @@ def weighted_bcg_stable_mask_multi(
 
     Returns ``bool[K, n_classes, n_ts]``.
     """
-    np = _require_numpy()
     _check_weight_columns(rem_w, add_w_u, add_w_v)
     rem_w = np.asarray(rem_w).astype(np.float64, copy=False)
     w_u = np.asarray(add_w_u).astype(np.float64, copy=False)
@@ -643,7 +608,6 @@ def weighted_stability_windows_multi(
     elementwise divisions, same ``reduceat`` reductions — min/max are
     order-insensitive).  Returns ``(t_min[K, C], t_max[K, C])``.
     """
-    np = _require_numpy()
     _check_weight_columns(rem_w, add_w_u, add_w_v)
     rem_w = np.asarray(rem_w).astype(np.float64, copy=False)
     rem_delta = np.asarray(rem_delta).astype(np.float64, copy=False)[None, :]
@@ -668,7 +632,6 @@ def stability_windows(rem_min, add_lo, add_indptr):
     largest least-interested-endpoint saving over the class's non-edges
     (clamped at 0, like :attr:`PairwiseStabilityProfile.alpha_min`).
     """
-    np = _require_numpy()
     alpha_max = np.asarray(rem_min, dtype=np.float64)
     alpha_min = np.maximum(segment_max(add_lo, add_indptr, empty=0.0), 0.0)
     return alpha_min, alpha_max
@@ -693,7 +656,6 @@ def ensemble_stats(values, indptr, quantiles: Sequence[float] = (0.25, 0.5, 0.75
     ``{q: [...]}`` mapping using NumPy's default linear interpolation.  One
     deterministic vectorised pass, identical for any worker count upstream.
     """
-    np = _require_numpy()
     values = np.asarray(values, dtype=np.float64)
     indptr = np.asarray(indptr, dtype=np.int64)
     counts = np.diff(indptr)
@@ -740,7 +702,6 @@ def pack_certificates(bitstrings: Sequence[int], n: int):
     as produced by :meth:`Graph.adjacency_bitstring`) lands in bit
     ``k % 64`` of word ``k // 64``.
     """
-    np = _require_numpy()
     words = certificate_words(n)
     out = np.zeros((len(bitstrings), words), dtype=np.uint64)
     mask = (1 << 64) - 1
@@ -783,7 +744,6 @@ def canonical_sort_indices(num_edges, cert_words, n: int):
     the permutation falls out of one ``np.lexsort`` over the inverted,
     big-endian-packed certificate bytes.
     """
-    np = _require_numpy()
     num_edges = np.asarray(num_edges)
     n_classes = num_edges.shape[0]
     pair_count = n * (n - 1) // 2

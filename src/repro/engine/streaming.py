@@ -43,8 +43,7 @@ per-lane arithmetic is the scalar histogram bank's
 (:class:`repro.obs.metrics._ScalarP2Bank`) expression for expression, and
 the tests hold the two to equal estimates.
 
-State size is independent of the number of draws — ``state_nbytes`` is
-the peak-memory proxy asserted by the amortised-ensemble benchmark.
+State size is independent of the number of draws (``state_nbytes``).
 """
 
 from __future__ import annotations

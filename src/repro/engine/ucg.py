@@ -52,9 +52,9 @@ by exact link-cost sums: a high-bit DP replays
 :class:`UniformCost`'s ``α·|S|`` closed form special-cased, so the weighted
 endpoints match the per-graph reference exactly as well.
 
-Everything falls back to the backtracking reference when NumPy is missing
-or ``n`` is outside the table-friendly range — the reference path is always
-available and is what every test asserts against.
+Everything falls back to the backtracking reference when ``n`` is outside
+the table-friendly range — the reference path is always available and is
+what every test asserts against.
 """
 
 from __future__ import annotations
@@ -62,10 +62,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # soft dependency, mirroring repro.engine.batch
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as np
 
 from .. import obs
 from ..graphs.isomorphism import cached_canonical_record, canonical_record
@@ -79,11 +76,6 @@ _MAX_TABLE_N = 12
 _TABLE_BYTE_BUDGET = 96 << 20
 
 
-def ucg_engine_available() -> bool:
-    """Whether the vectorised UCG engine can run (NumPy importable)."""
-    return _np is not None
-
-
 # --------------------------------------------------------------------------- #
 # Orbit plans: one representative player per vertex orbit + mask gathers
 # --------------------------------------------------------------------------- #
@@ -92,13 +84,13 @@ def ucg_engine_available() -> bool:
 @lru_cache(maxsize=None)
 def _bit_columns(n: int):
     """``(2^n, n)`` 0/1 matrix: column ``b`` is bit ``b`` of every mask."""
-    masks = _np.arange(1 << n, dtype=_np.int64)
-    return (masks[:, None] >> _np.arange(n, dtype=_np.int64)) & 1
+    masks = np.arange(1 << n, dtype=np.int64)
+    return (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
 
 
 def _mask_image(perm: Sequence[int], n: int):
     """``img[mask]`` = image of ``mask`` under the vertex permutation."""
-    return _bit_columns(n) @ (1 << _np.asarray(perm, dtype=_np.int64))
+    return _bit_columns(n) @ (1 << np.asarray(perm, dtype=np.int64))
 
 
 def _orbit_plan(graph, use_orbits: Optional[bool], image_cache: Dict):
@@ -176,15 +168,15 @@ def _free_masks(n: int):
     Column ``c`` of row ``p`` is ``c`` with a zero inserted at bit ``p`` —
     the index layout of :func:`_free_distance_sums`.
     """
-    masks = _np.arange(1 << n, dtype=_np.int64)
-    return _np.stack([masks[((masks >> p) & 1) == 0] for p in range(n)])
+    masks = np.arange(1 << n, dtype=np.int64)
+    return np.stack([masks[((masks >> p) & 1) == 0] for p in range(n)])
 
 
 @lru_cache(maxsize=None)
 def _kept_vertices(n: int):
     """``(n, n-1)``: row ``p`` lists the vertices other than ``p``, ascending."""
-    return _np.array(
-        [[v for v in range(n) if v != p] for p in range(n)], dtype=_np.int64
+    return np.array(
+        [[v for v in range(n) if v != p] for p in range(n)], dtype=np.int64
     )
 
 
@@ -195,7 +187,6 @@ def _vertex_deleted_distances(graphs, rows_idx, n: int):
     (relabelled ``0..n-2`` in order; ``inf`` when unreachable), computed by
     the lock-step frontier matmul of :func:`repro.engine.batch._batch_group`.
     """
-    np = _np
     R = len(rows_idx)
     m = n - 1
     rows = np.array(
@@ -231,7 +222,6 @@ def _free_distance_sums(graphs, rows_idx, n: int):
     every row.  Values are integers (or ``inf``), exact in float32 and
     returned as float64.
     """
-    np = _np
     dist, p_arr = _vertex_deleted_distances(graphs, rows_idx, n)
     R, m = dist.shape[0], n - 1
     # Mask-major layout: every DP step reads and writes contiguous blocks.
@@ -268,7 +258,6 @@ def _pair_plan(n: int, p: int, nbr: int):
     ``2^(n-1)`` pointing at the caller's identity column, so every
     ``reduceat`` segment is nonempty.
     """
-    np = _np
     free = _free_masks(n)[p]
     subs = np.asarray(_submasks(nbr), dtype=np.int64)
     pop = _popcounts(n)[free]
@@ -300,7 +289,6 @@ def _scalar_interval_tables(dfree, p_arr, nbr_arr, n: int):
     reference folds.  Masks that are not subsets of ``N(p)`` stay
     ``ok = False``.
     """
-    np = _np
     R, half = dfree.shape
     size = 1 << n
     lo = np.zeros((R, size))
@@ -341,7 +329,6 @@ def _scalar_interval_tables(dfree, p_arr, nbr_arr, n: int):
 
 def _expand_rows(tables, plans, row_of, n: int):
     """Gather per-representative row tables into full ``(G·n, size)`` arrays."""
-    np = _np
     size = tables[0].shape[1]
     G = len(plans)
     src = np.empty(G * n, dtype=np.int64)
@@ -564,7 +551,6 @@ def _chunk_rows(graphs, use_orbits):
 
 def _hulls(lo_full, hi_full, ok_full, n: int):
     """Per-player feasible hulls and the per-graph feasibility test."""
-    np = _np
     G = lo_full.shape[0] // n
     player_ok = ok_full.any(axis=1).reshape(G, n)
     hull_lo = np.where(ok_full, lo_full, np.inf).min(axis=1).reshape(G, n)
@@ -602,7 +588,6 @@ def _full_set():
 
 def _scalar_chunk_sets(graphs, use_orbits):
     """Engine-path Nash α-sets for one same-``n`` chunk (``2 <= n``)."""
-    np = _np
     n = graphs[0].n
     plans, rows_idx, row_of = _chunk_rows(graphs, use_orbits)
     dfree, p_arr = _free_distance_sums(graphs, rows_idx, n)
@@ -646,10 +631,10 @@ def ucg_alpha_sets(
     Element-for-element float-exact against
     :func:`repro.core.unilateral.ucg_nash_alpha_set` (the per-graph
     backtracking reference, asserted in the test suite and the parity
-    smoke); falls back to it per graph when NumPy is unavailable or ``n``
-    exceeds the table range.  Results are memoised on each
-    :class:`~repro.graphs.graph.Graph` instance (edge mutations return new
-    instances, so memos can never go stale).
+    smoke); falls back to it per graph when ``n`` exceeds the table range.
+    Results are memoised on each :class:`~repro.graphs.graph.Graph`
+    instance (edge mutations return new instances, so memos can never go
+    stale).
     """
     graphs = list(graphs)
     results: List = [None] * len(graphs)
@@ -667,7 +652,7 @@ def ucg_alpha_sets(
             pending_by_n.setdefault(graph.n, []).append(i)
     fallback: List[int] = []
     for n, indices in sorted(pending_by_n.items()):
-        if _np is None or n > _MAX_TABLE_N:
+        if n > _MAX_TABLE_N:
             fallback.extend(indices)
             continue
         budget = max(1, _row_budget(n) // n)
@@ -700,7 +685,6 @@ def _link_cost_table(model, n: int, player: int, pop):
     class's ascending left fold, and a per-subset model call for custom
     overrides (always exact, never fast).
     """
-    np = _np
     from ..costmodels.models import CostModel, UniformCost
 
     size = 1 << n
@@ -734,7 +718,6 @@ def _weighted_player_rows(
     evaluated for every purchase set at once; max/min over the identical
     quotient multiset reproduce the reference's running fold exactly.
     """
-    np = _np
     size = 1 << n
     full = size - 1
     lo_row = [0.0] * size
@@ -787,7 +770,6 @@ def _weighted_player_rows(
 
 def _weighted_chunk_sets(graphs, model, use_orbits):
     """Engine-path weighted Nash t-sets for one same-``n`` chunk."""
-    np = _np
     n = graphs[0].n
     pop = _popcounts(n)
     plans, rows_idx, row_of = _chunk_rows(graphs, use_orbits)
@@ -850,8 +832,8 @@ def weighted_ucg_t_sets(
     :func:`repro.costmodels.stability.weighted_ucg_nash_t_set`; the
     model-independent distance tables are shared across players via the
     orbit gather (weights break symmetry, so only the distance layer is
-    orbit-pruned).  Falls back to the per-graph reference when NumPy is
-    unavailable or ``n`` exceeds the table range.  No per-instance memo:
+    orbit-pruned).  Falls back to the per-graph reference when ``n``
+    exceeds the table range.  No per-instance memo:
     results depend on the cost model, not just the graph.
     """
     graphs = list(graphs)
@@ -864,7 +846,7 @@ def weighted_ucg_t_sets(
             pending_by_n.setdefault(graph.n, []).append(i)
     fallback: List[int] = []
     for n, indices in sorted(pending_by_n.items()):
-        if _np is None or n > _MAX_TABLE_N:
+        if n > _MAX_TABLE_N:
             fallback.extend(indices)
             continue
         budget = max(1, _row_budget(n) // n)

@@ -2,9 +2,10 @@
 
 Every experiment (one per figure, lemma or proposition of the paper) returns
 an :class:`ExperimentResult`: a list of checkable claims (paper statement vs
-measured outcome) plus pre-rendered text tables.  The benchmarks call the
-same entry points, so "the code that regenerates the figure" and "the code
-the test suite asserts on" are one and the same.
+measured outcome) plus pre-rendered text tables.  The CLI and the
+benchmark's ``paper`` workload call the same entry points, so "the code
+that regenerates the figure" and "the code the test suite asserts on" are
+one and the same.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ def run(include_hoffman_singleton: bool = True) -> ExperimentResult:
     """Run the Figure 1 reproduction.
 
     ``include_hoffman_singleton=False`` skips the 50-vertex graph, whose
-    stability analysis is the slowest part (used by the quick benchmark
+    stability analysis is the slowest part (used by the quick test-suite
     variant).
     """
     result = ExperimentResult(

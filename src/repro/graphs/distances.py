@@ -11,8 +11,9 @@ Since the bitset kernel landed in :mod:`repro.graphs.graph`, the BFS here is
 is ``OR``-ing together the adjacency rows of the frontier vertices and
 masking off the visited set with ``AND NOT``, and per-level population
 counts come from ``int.bit_count``.  The original adjacency-set
-implementations are kept as ``*_reference`` functions; the equivalence tests
-and :mod:`benchmarks.bench_engine` compare the two paths.
+implementations are kept as ``*_reference`` functions, the oracle the
+equivalence tests in ``tests/test_engine.py`` compare the bitset kernels
+against; they are not exported from :mod:`repro.graphs`.
 """
 
 from __future__ import annotations
@@ -246,13 +247,13 @@ def is_distance_matrix_symmetric(matrix: Sequence[Sequence[float]]) -> bool:
 # Reference implementations (the seed's adjacency-set BFS)
 #
 # These are the pre-kernel code paths, kept verbatim so the equivalence tests
-# and benchmarks always have a known-good naive baseline to compare the
-# bitset kernels against.
+# always have a known-good naive baseline to compare the bitset kernels
+# against.
 # --------------------------------------------------------------------------- #
 
 
 def bfs_distances_reference(graph: Graph, source: int) -> List[float]:
-    """Adjacency-set BFS (naive baseline for tests and benchmarks)."""
+    """Adjacency-set BFS (naive baseline for the equivalence tests)."""
     n = graph.n
     dist = [INFINITY] * n
     dist[source] = 0

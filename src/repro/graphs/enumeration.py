@@ -311,7 +311,9 @@ def _canonical_augment_level(parents: List[Graph]) -> List[Graph]:
 def _augment_dedup_level(parents: List[Graph]) -> List[Graph]:
     """One generation level of the pre-canonical-augmentation path.
 
-    Kept verbatim as the benchmark baseline and equivalence reference: every
+    Kept verbatim as the equivalence reference canonical augmentation is
+    checked against (``tests/test_enumeration.py``,
+    ``benchmarks/smoke_streamed_census.py``): every
     ``(parent, neighbourhood)`` candidate is canonicalised and deduplicated
     through a global ``seen`` dictionary.
     """

@@ -12,10 +12,9 @@ Design contract, shared with :mod:`repro.obs.tracing`:
 * **one kill-switch** — ``REPRO_METRICS=0`` (or ``false``/``off``/``no``)
   at process start makes every factory hand out a *shared no-op object*
   and every already-created instrument refuse to record, so hot kernels
-  pay one attribute check per instrumentation site and nothing else.  The
-  bench ceiling in ``benchmarks/bench_engine.py`` (``telemetry`` section,
-  schema v9) enforces that the disabled path stays within 5% of calling
-  the raw kernels;
+  pay one attribute check per instrumentation site and nothing else
+  (``benchmarks/smoke_metrics.py`` checks that the switch reaches every
+  site);
 * **merge-exact deltas** — every instrument accumulates a *pending* delta
   alongside its value.  :meth:`MetricsRegistry.drain_deltas` atomically
   takes the pending state (a picklable dict) and
@@ -812,8 +811,7 @@ def timed_kernel(name: str):
     """Decorator: time each call into ``repro_kernel_seconds{kernel=name}``.
 
     The wrapper costs one flag check when telemetry is disabled and keeps
-    the raw function reachable as ``__wrapped__`` — the benchmark overhead
-    ceiling compares the two.
+    the raw function reachable as ``__wrapped__``.
     """
     import functools
 

@@ -26,7 +26,11 @@ worth batching and no coalescing window to wait out.
 Grid requests are validated strictly: ``alphas`` must be a non-empty list
 of finite real numbers (no ``null``, booleans, ``NaN`` or infinities;
 400 otherwise) with at most :data:`MAX_GRID_POINTS` entries (413 beyond),
-and the same cap bounds the figure ``points``.
+and the same cap bounds the figure ``points``.  Ensemble requests take JSON
+integers only for ``n``, ``draws``, ``seed`` and ``grid`` (400 for floats,
+booleans and strings); ``n`` above :data:`MAX_ENSEMBLE_N`, ``draws`` above
+:data:`MAX_ENSEMBLE_DRAWS` and ``grid`` above :data:`MAX_GRID_POINTS` are
+413, so one request cannot hold the compute pool for hours.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the listener, in-flight requests
 get a drain grace period, then the loop exits.  Binding port ``0`` picks a
@@ -57,6 +61,11 @@ MAX_BODY = 4 * 1024 * 1024
 #: Most grid points one ``/v1/query/grid`` request may ask for, either as
 #: an explicit ``alphas`` list or as figure ``points``; more is a 413.
 MAX_GRID_POINTS = 4096
+
+#: Largest ``n`` and ``draws`` one ``/v1/query/ensemble-stats`` request may
+#: ask for (the largest any benchmark workload runs); more is a 413.
+MAX_ENSEMBLE_N = 8
+MAX_ENSEMBLE_DRAWS = 1000
 
 #: Path label used for unrouted requests so the metrics cardinality stays
 #: bounded no matter what clients probe.
@@ -430,10 +439,10 @@ class ArtifactServer:
     def _query_ensemble(self, request: Dict[str, object]) -> Dict[str, object]:
         return self.api.ensemble_stats(
             scenario=str(request.get("scenario", "random_weights")),
-            n=int(request.get("n", 6)),
-            draws=int(request.get("draws", 8)),
-            seed=int(request.get("seed", 0)),
-            grid=int(request.get("grid", 8)),
+            n=_json_int(request.get("n", 6), "n", MAX_ENSEMBLE_N),
+            draws=_json_int(request.get("draws", 8), "draws", MAX_ENSEMBLE_DRAWS),
+            seed=_json_int(request.get("seed", 0), "seed"),
+            grid=_grid_points(request.get("grid", 8), "grid"),
             delta=request.get("delta"),
         )
 
@@ -503,15 +512,21 @@ def _alpha_grid(alphas) -> List[float]:
     return grid
 
 
-def _grid_points(points) -> int:
-    """A request's figure ``points`` as an int, or the 400/413 it deserves."""
-    if not isinstance(points, int) or isinstance(points, bool):
-        raise HTTPError(400, f"'points' must be an integer, got {points!r}")
-    if points > MAX_GRID_POINTS:
-        raise HTTPError(
-            413, f"'points' is {points}; at most {MAX_GRID_POINTS} are served"
-        )
-    return points
+def _grid_points(points, name: str = "points") -> int:
+    """A request's grid size as an int, or the 400/413 it deserves."""
+    return _json_int(points, name, MAX_GRID_POINTS)
+
+
+def _json_int(value, name: str, limit: Optional[int] = None) -> int:
+    """A request field that must be a JSON integer (400), at most ``limit`` (413).
+
+    Booleans are rejected although Python counts them as ints.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise HTTPError(400, f"{name!r} must be an integer, got {value!r:.40}")
+    if limit is not None and value > limit:
+        raise HTTPError(413, f"{name!r} is {value}; at most {limit} are served")
+    return value
 
 
 def _require(method: str, expected: str) -> None:

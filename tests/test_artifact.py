@@ -11,9 +11,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis import artifact
 from repro.analysis.delta_store import DeltaStore

@@ -99,54 +99,6 @@ class TestAggregates:
         assert value == value or math.isnan(value)  # simply must not raise
 
 
-def _assert_identical(first, second):
-    """Element-for-element census equality (graphs, profiles, UCG sets)."""
-    assert first.n == second.n
-    assert first.include_ucg == second.include_ucg
-    assert len(first.records) == len(second.records)
-    for a, b in zip(first.records, second.records):
-        assert a.graph == b.graph
-        assert a.bcg_profile.removal_increase == b.bcg_profile.removal_increase
-        assert a.bcg_profile.addition_saving == b.bcg_profile.addition_saving
-        if first.include_ucg:
-            assert a.ucg_alpha_set.intervals == b.ucg_alpha_set.intervals
-        else:
-            assert a.ucg_alpha_set is None and b.ucg_alpha_set is None
-
-
-class TestStreamedBuild:
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_identical_to_materialised_build(self, n):
-        _assert_identical(
-            EquilibriumCensus.build(n),
-            EquilibriumCensus.build_streamed(n),
-        )
-
-    def test_identical_without_ucg(self):
-        _assert_identical(
-            EquilibriumCensus.build(7, include_ucg=False),
-            EquilibriumCensus.build_streamed(7, include_ucg=False),
-        )
-
-    def test_identical_for_any_shard_level_and_jobs(self):
-        reference = EquilibriumCensus.build(6, include_ucg=False)
-        for shard_level in (0, 2, 4, 6):
-            _assert_identical(
-                reference,
-                EquilibriumCensus.build_streamed(
-                    6, include_ucg=False, shard_level=shard_level, batch_size=17
-                ),
-            )
-        _assert_identical(
-            reference,
-            EquilibriumCensus.build_streamed(6, include_ucg=False, jobs=2),
-        )
-
-    def test_rejects_negative_n(self):
-        with pytest.raises(ValueError):
-            EquilibriumCensus.build_streamed(-1)
-
-
 class TestCaching:
     def test_cached_census_reuses_instances(self):
         clear_census_cache()

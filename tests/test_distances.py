@@ -17,6 +17,7 @@ from repro.graphs import (
     distance_vector_sums,
     eccentricity,
     path_graph,
+    petersen_graph,
     radius,
     shortest_path,
     star_graph,
@@ -63,6 +64,10 @@ class TestAggregates:
     def test_distance_sum_star_center_vs_leaf(self, star6):
         assert distance_sum(star6, 0) == 5          # centre: five leaves at distance 1
         assert distance_sum(star6, 1) == 1 + 2 * 4  # leaf: centre at 1, four leaves at 2
+
+    def test_distance_sum_petersen(self):
+        # Diameter 2, degree 3: three neighbours at 1, six vertices at 2.
+        assert distance_sum(petersen_graph(), 0) == 3 + 6 * 2
 
     def test_total_distance_complete_graph(self):
         assert total_distance(complete_graph(5)) == 5 * 4

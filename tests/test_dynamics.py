@@ -14,7 +14,14 @@ from repro.core import (
     sample_stable_networks_bcg,
 )
 from repro.core.dynamics import DynamicsResult
-from repro.graphs import Graph, complete_graph, is_connected, random_graph, star_graph
+from repro.graphs import (
+    Graph,
+    complete_graph,
+    is_connected,
+    random_connected_graph,
+    random_graph,
+    star_graph,
+)
 
 
 class TestUCGBestResponseDynamics:
@@ -26,10 +33,12 @@ class TestUCGBestResponseDynamics:
         assert is_nash_profile_ucg(result.profile, 2.0)
 
     def test_fixed_point_is_a_nash_network(self):
-        for seed in range(4):
-            result = best_response_dynamics_ucg(7, alpha=3.0, rng=random.Random(seed))
+        # n = 10 is the paper's size for the sampled Figures 2 and 3.
+        cases = [(7, 3.0, seed) for seed in range(4)] + [(10, 4.0, 9)]
+        for n, alpha, seed in cases:
+            result = best_response_dynamics_ucg(n, alpha=alpha, rng=random.Random(seed))
             assert result.converged
-            assert is_nash_graph_ucg(result.graph, 3.0)
+            assert is_nash_graph_ucg(result.graph, alpha)
 
     def test_cheap_links_produce_dense_networks(self):
         result = best_response_dynamics_ucg(6, alpha=0.5, rng=random.Random(2))
@@ -62,12 +71,15 @@ class TestUCGBestResponseDynamics:
 
 class TestBCGPairwiseDynamics:
     def test_converges_to_pairwise_stable_network(self):
-        for seed in range(4):
+        # n = 10 is the paper's size for the sampled Figures 2 and 3.
+        cases = [(7, 2.0, seed, random_graph) for seed in range(4)]
+        cases.append((10, 3.0, 3, random_connected_graph))
+        for n, alpha, seed, generate in cases:
             rng = random.Random(seed)
-            start = random_graph(7, 0.3, rng)
-            result = pairwise_dynamics_bcg(7, alpha=2.0, initial=start, rng=rng)
+            start = generate(n, 0.3, rng)
+            result = pairwise_dynamics_bcg(n, alpha=alpha, initial=start, rng=rng)
             assert result.converged
-            assert is_pairwise_stable(result.graph, 2.0)
+            assert is_pairwise_stable(result.graph, alpha)
 
     def test_cheap_links_reach_complete_graph(self):
         # Start from a connected network: from the empty network single-link

@@ -36,15 +36,17 @@ from repro.engine import (
 from repro.graphs import (
     Graph,
     bfs_distances,
-    bfs_distances_reference,
     bfs_distances_with_extra_edge,
-    bfs_distances_with_extra_edge_reference,
     bfs_distances_with_forbidden_edge,
-    bfs_distances_with_forbidden_edge_reference,
     bitset_distance_sum,
     distance_sum,
-    distance_sum_reference,
     random_graph,
+)
+from repro.graphs.distances import (
+    bfs_distances_reference,
+    bfs_distances_with_extra_edge_reference,
+    bfs_distances_with_forbidden_edge_reference,
+    distance_sum_reference,
 )
 
 # --------------------------------------------------------------------------- #

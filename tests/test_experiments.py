@@ -67,6 +67,13 @@ class TestFigureExperiments:
         result = figure3.run()
         assert result.all_passed
 
+    def test_figure2_sampled_at_the_paper_size(self):
+        figure = figure2.compute_figure2_sampled(
+            n=10, total_edge_costs=[4.0], num_samples=4, seed=3
+        )
+        assert figure.bcg.points[0].num_equilibria >= 1
+        assert figure.ucg.points[0].num_equilibria >= 1
+
     def test_figure2_compute_returns_aligned_series(self):
         figure = figure2.compute_figure2(n=5, total_edge_costs=[2.0, 8.0])
         assert len(figure.ucg.points) == 2

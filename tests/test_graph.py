@@ -103,6 +103,22 @@ class TestImmutableOperations:
         g = Graph(3, [(0, 1)])
         assert g.remove_edge(0, 2) is g
 
+    def test_single_edge_mutation_never_walks_the_edge_set(self, monkeypatch):
+        # Mutation cost must not scale with m: one row pair changes and the
+        # edge set is never re-normalised through __init__.
+        from repro.graphs import complete_graph
+
+        dense = complete_graph(200).remove_edge(0, 199)
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("single-edge mutation rebuilt the graph")
+
+        monkeypatch.setattr(Graph, "__init__", rebuild)
+        added = dense.add_edge(0, 199)
+        assert added.num_edges == dense.num_edges + 1 and added.has_edge(0, 199)
+        assert added.remove_edge(0, 199).num_edges == dense.num_edges
+        assert not dense.toggle_edge(0, 1).has_edge(0, 1)
+
     def test_toggle_edge(self):
         g = Graph(3, [(0, 1)])
         assert not g.toggle_edge(0, 1).has_edge(0, 1)

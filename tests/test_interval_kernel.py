@@ -14,9 +14,8 @@ import math
 import sys
 import threading
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

@@ -130,7 +130,7 @@ def _p2_streams():
 @pytest.mark.parametrize("stream", sorted(_p2_streams()))
 def test_scalar_bank_matches_vectorised_sketch(stream):
     """The histogram bank and the ensemble lane sketch agree bit for bit."""
-    np = pytest.importorskip("numpy")
+    import numpy as np
     from repro.engine.streaming import StreamingEnsembleStats
     from repro.obs.metrics import _ScalarP2Bank
 
@@ -384,7 +384,6 @@ def _counted_shard(payload):
 
 
 def test_run_shards_crash_requeue_does_not_double_count(tmp_path):
-    pytest.importorskip("numpy")
     from repro.engine.faults import parse_plan
     from repro.engine.shardwork import run_shards
 
@@ -408,7 +407,6 @@ def test_run_shards_crash_requeue_does_not_double_count(tmp_path):
 
 
 def test_run_shards_metrics_match_manifest_on_resume(tmp_path):
-    pytest.importorskip("numpy")
     from repro.engine.shardwork import run_shards
 
     payloads = [2, 3, 4]
@@ -429,7 +427,6 @@ def _raising_progress(snapshot):
 
 
 def test_run_shards_survives_raising_progress_callback():
-    pytest.importorskip("numpy")
     from repro.engine.shardwork import run_shards
 
     payloads = [2, 3]

@@ -162,21 +162,25 @@ class TestOrbitPrunedProbes:
             [cycle_graph(6)], use_orbits=True
         )
 
-    def test_fallback_path_without_numpy(self, monkeypatch):
-        import repro.engine.batch as batch_module
+    def test_fallback_path_without_numpy(self):
+        """The per-graph path (taken for n > 63) equals the tensor path.
+
+        Drives ``_per_graph_deltas`` directly with forced, disabled and
+        auto probe plans on fresh oracles, so neither pruning nor the
+        oracle's table cache can hide a wrong orbit expansion.
+        """
+        from repro.engine.batch import _per_graph_deltas, _probe_plan
 
         graphs = enumerate_connected_graphs(5)
         expected = batch_stability_deltas(graphs, use_orbits=False)
-        monkeypatch.setattr(batch_module, "_np", None)
-        oracle = DistanceOracle()
-        assert (
-            batch_module.batch_stability_deltas(graphs, oracle=oracle, use_orbits=True)
-            == expected
-        )
-        assert (
-            batch_module.batch_stability_deltas(graphs, oracle=oracle, use_orbits=False)
-            == expected
-        )
+        for use_orbits in (True, False, None):
+            oracle = DistanceOracle()
+            observed = [
+                _per_graph_deltas(graph, _probe_plan(graph, use_orbits), oracle)
+                for graph in graphs
+            ]
+            assert observed == expected, use_orbits
+        assert any(_probe_plan(graph, True) is not None for graph in graphs)
 
     def test_disconnected_graphs(self):
         two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])

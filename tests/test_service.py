@@ -11,9 +11,8 @@ import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.delta_store import DeltaStore
 from repro.analysis.scenarios import build_scenario, default_t_grid
@@ -568,3 +567,54 @@ class TestGridValidation:
         assert self._status(server, figure % "null") == 400
         assert self._status(server, figure % (MAX_GRID_POINTS + 1)) == 413
         assert self._status(server, figure % 6) == 200
+
+
+class TestEnsembleValidation:
+    """``/v1/query/ensemble-stats`` takes JSON integers within fixed bounds.
+
+    Each case would be valid if its field were coerced (``int(4.7)``,
+    ``int(True)``, ``int("4")``) or left unbounded.  The 413 cases sit one
+    past ``MAX_ENSEMBLE_N`` (8), ``MAX_ENSEMBLE_DRAWS`` (1000) and
+    ``MAX_GRID_POINTS`` (4096); ``n = 9`` must be refused before the n = 4
+    delta artifact could mismatch it (a 400).
+    """
+
+    @pytest.fixture(scope="class")
+    def server(self, artifact_dir):
+        clear_store_cache()
+        server, thread = start_in_thread(
+            api=QueryAPI(ArtifactCatalog(root=str(artifact_dir)))
+        )
+        yield server
+        server.shutdown()
+        thread.join(timeout=10)
+        clear_store_cache()
+
+    @pytest.mark.parametrize(
+        "field, value, status",
+        [
+            ("n", 4.7, 400),
+            ("n", "4", 400),
+            ("draws", True, 400),
+            ("draws", 2.0, 400),
+            ("draws", "2", 400),
+            ("seed", 1.5, 400),
+            ("grid", 4.5, 400),
+            ("grid", False, 400),
+            ("n", 9, 413),
+            ("draws", 1001, 413),
+            ("grid", 4097, 413),
+        ],
+    )
+    def test_bad_fields_get_a_status(self, server, field, value, status):
+        body = {"n": 4, "draws": 2, "grid": 4, "delta": "delta4.npz", field: value}
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{server.port}/v1/query/ensemble-stats",
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as error:
+            urllib.request.urlopen(request, timeout=60).close()
+        with error.value:
+            assert error.value.code == status
+            assert json.loads(error.value.read())["status"] == status

@@ -18,9 +18,8 @@ Two layers:
 import json
 import os
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.delta_store import DeltaStore
 from repro.analysis.store import CensusStore

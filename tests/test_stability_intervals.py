@@ -16,6 +16,7 @@ from repro.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    hoffman_singleton_graph,
     path_graph,
     petersen_graph,
     star_graph,
@@ -214,6 +215,13 @@ class TestPairwiseStabilityProfile:
 
     def test_petersen_has_stabilizing_alpha(self):
         assert has_stabilizing_alpha(petersen_graph())
+
+    def test_figure1_windows_of_petersen_and_hoffman_singleton(self):
+        assert pairwise_stability_interval(petersen_graph()) == (1.0, 5.0)
+        graph = hoffman_singleton_graph()
+        lo, hi = pairwise_stability_interval(graph)
+        assert lo < hi
+        assert is_pairwise_stable(graph, (lo + hi) / 2.0)
 
     def test_edgeless_graph_boundary_conventions(self):
         # Two isolated vertices: adding the single missing link brings the

@@ -14,9 +14,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.census import EquilibriumCensus
 from repro.analysis.figure_series import census_figure_series

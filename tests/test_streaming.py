@@ -14,9 +14,8 @@ small ``run_ensemble`` is pinned to a digest of its aggregates.
 import hashlib
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.ensembles import run_ensemble
 from repro.engine.columnar import ensemble_stats

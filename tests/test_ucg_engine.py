@@ -10,7 +10,6 @@ per-``Graph`` memo obeys the staleness contract (mutations build new
 instances, so a memo can never go stale).
 """
 
-import importlib.util
 import math
 import random
 
@@ -21,7 +20,7 @@ from repro.core.stability_intervals import AlphaIntervalSet
 from repro.core.unilateral import ucg_nash_alpha_set
 from repro.costmodels import PerPlayerCost, UniformCost
 from repro.costmodels.stability import weighted_ucg_nash_t_set
-from repro.engine import ucg_alpha_sets, ucg_engine_available, weighted_ucg_t_sets
+from repro.engine import ucg_alpha_sets, weighted_ucg_t_sets
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -29,12 +28,6 @@ from repro.graphs import (
     empty_graph,
     enumerate_connected_graphs,
     path_graph,
-)
-
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the vectorised UCG engine requires NumPy"
 )
 
 INF = float("inf")
@@ -53,10 +46,6 @@ def fresh(graph: Graph) -> Graph:
 # --------------------------------------------------------------------------- #
 # Float-exact parity against the backtracking reference
 # --------------------------------------------------------------------------- #
-
-
-def test_engine_availability_tracks_numpy():
-    assert ucg_engine_available() == HAVE_NUMPY
 
 
 class TestScalarParity:
@@ -148,7 +137,6 @@ class TestWeightedParity:
 # --------------------------------------------------------------------------- #
 
 
-@needs_numpy
 class TestOrbitPruning:
 
     @pytest.mark.parametrize(
@@ -195,7 +183,6 @@ def seeded_perms(n: int, count: int = 3):
     return [random.Random(seed).sample(range(n), n) for seed in range(count)]
 
 
-@needs_numpy
 class TestOrderInvariance:
     """The DP takes players in label order, so a relabelling changes every
     intermediate state; the Nash set is a point set reached by exact
@@ -257,7 +244,6 @@ def brute_force_classes(v, nbr, lo_row, hi_row, ok_row):
     }, sig
 
 
-@needs_numpy
 class TestClassQuotient:
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -342,7 +328,6 @@ class TestMemoisation:
 # --------------------------------------------------------------------------- #
 
 
-@needs_numpy
 class TestUcgColumns:
 
     def test_interval_columns_pack_endpoints(self):
@@ -410,7 +395,6 @@ class TestUcgColumns:
 # --------------------------------------------------------------------------- #
 
 
-@needs_numpy
 class TestStoreRoundTrips:
 
     def test_census_store_ucg_round_trip(self, tmp_path):

@@ -7,12 +7,11 @@ with heterogeneous models the vectorised path is decision-identical to the
 per-graph ``WeightedStabilityProfile`` reference loop.
 """
 
-import importlib.util
 import random
 
 import pytest
 
-from repro.analysis.scenarios import build_scenario
+from repro.analysis.scenarios import build_scenario, default_t_grid
 from repro.analysis.weighted import (
     weighted_census,
     weighted_python_sweep_bcg,
@@ -22,16 +21,9 @@ from repro.analysis.weighted import (
 from repro.costmodels import UniformCost, weighted_stability_profile
 from repro.graphs import Graph, enumerate_connected_graphs, random_connected_graph
 
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the vectorised weighted kernels require NumPy"
-)
-
 TS = [0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 9.0, 20.0, 50.0]
 
 
-@needs_numpy
 class TestWeightedColumns:
 
     def test_column_layout_and_values(self):
@@ -67,7 +59,6 @@ class TestWeightedColumns:
                 assert columns["add_s_v"][start + k] == s_v
 
 
-@needs_numpy
 class TestUniformMaskEquivalence:
     """Acceptance: uniform weights ⇒ float-exact scalar census masks, n ≤ 7."""
 
@@ -111,6 +102,17 @@ class TestHeterogeneousSweep:
         graphs = enumerate_connected_graphs(6)
         result = weighted_sweep(graphs, scenario.model, TS)
         expected = weighted_python_sweep_bcg(graphs, scenario.model, TS)
+        assert [
+            [bool(x) for x in row] for row in result.bcg_mask
+        ] == expected
+
+    def test_vectorised_equals_python_loop_n7_dense_grid(self):
+        """All 853 classes on 7 vertices over a 24-point scale grid."""
+        scenario = build_scenario("random_weights", 7, seed=3)
+        graphs = enumerate_connected_graphs(7)
+        ts = default_t_grid(7, 24)
+        result = weighted_sweep(graphs, scenario.model, ts)
+        expected = weighted_python_sweep_bcg(graphs, scenario.model, ts)
         assert [
             [bool(x) for x in row] for row in result.bcg_mask
         ] == expected
@@ -170,7 +172,6 @@ class TestHeterogeneousSweep:
             )
 
 
-@needs_numpy
 class TestKernelWeightGuards:
     """Regression: unvalidated coefficients used to NaN/inf silently."""
 
